@@ -59,7 +59,7 @@ let encoded_size = function
   | Request { cmd; _ } -> 10 + cmd_size cmd
   | Reply { result; _ } -> 9 + result_size result
   | Forward { v } -> 1 + value_size v
-  | Op_prepare_request _ -> 18
+  | Op_prepare_request _ -> 26
   | Op_prepare_response { accepted; _ } -> 21 + ipnv_size 0 accepted
   | Op_abandon _ -> 17
   | Op_accept_request { v; _ } -> 25 + value_size v
@@ -282,10 +282,11 @@ let encode m b ~pos =
     | Forward { v } ->
       let p = put_byte b pos 2 in
       put_value b p v
-    | Op_prepare_request { pn; must_be_fresh } ->
+    | Op_prepare_request { pn; must_be_fresh; low } ->
       let p = put_byte b pos 3 in
       let p = put_pn b p pn in
-      put_bool b p must_be_fresh
+      let p = put_bool b p must_be_fresh in
+      put_int b p low
     | Op_prepare_response { pn; accepted } ->
       let p = put_byte b pos 4 in
       let p = put_pn b p pn in
@@ -687,7 +688,8 @@ let get_msg c =
   | 3 ->
     let pn = get_pn c in
     let must_be_fresh = get_bool c in
-    Op_prepare_request { pn; must_be_fresh }
+    let low = get_int c in
+    Op_prepare_request { pn; must_be_fresh; low }
   | 4 ->
     let pn = get_pn c in
     let n = get_count c ~min_elem:41 in

@@ -69,6 +69,12 @@ type t = {
   mutable pending_prepare : Pn.t option;
   mutable prepare_deadline : Sim_time.t option;
   proposed : (int, Wire.value) Hashtbl.t;
+      (* Undecided instances this node must see re-proposed with these
+         values (Lemma 2a): its own proposals, adopted acceptances and
+         carried entries. An entry goes when its instance is decided. *)
+  mutable proposed_high : int;
+      (* Highest instance ever registered in [proposed]: new proposals
+         go above it even after its entry is gone. *)
   inflight : (int * int, int) Hashtbl.t; (* value key -> instance *)
   mutable next_inst : int;
   pending : Wire.value Queue.t;
@@ -88,6 +94,10 @@ type t = {
   mutable hpn : Pn.t;
   mutable iam_fresh : bool;
   acc_ap : (int, Pn.t * Wire.value) Hashtbl.t;
+      (* Accepted proposals at or above this node's decided prefix.
+         Below the prefix the decided log answers for them: an accepted
+         value is broadcast as a learn the moment it is accepted, so it
+         is the value the log holds. *)
   mutable acc_retired : bool;
       (* The configuration log moved the acceptor role away from this
          node. Its promise state is frozen history: answering prepares
@@ -227,11 +237,26 @@ let cancel_batch_timer t =
     t.bat_timer <- None
   | None -> ()
 
+(* Every registration in [proposed] goes through here: decided instances
+   need no re-proposal, so they are never stored. *)
+let register t ~inst v =
+  if not (Replica_core.is_decided t.core ~inst) then begin
+    t.proposed_high <- max t.proposed_high inst;
+    Hashtbl.replace t.proposed inst v
+  end
+
 let rec learn_value t ~inst v =
   Hashtbl.remove t.outstanding inst;
   Hashtbl.remove t.inflight (Wire.value_key v);
+  Hashtbl.remove t.proposed inst;
   let executed = Replica_core.learn t.core ~inst v in
-  List.iter (reply_if_mine t) executed;
+  List.iter
+    (fun (ex : Replica_core.executed) ->
+      (* [ex.inst] just joined the decided prefix: the log answers for
+         it from now on. *)
+      Hashtbl.remove t.acc_ap ex.inst;
+      reply_if_mine t ex)
+    executed;
   batch_decided t ~inst
 
 (* A slot of one of our batches decided: when its whole batch is in,
@@ -291,7 +316,7 @@ and flush_batch t k =
     (fun i v ->
       let inst = base + i in
       Hashtbl.remove t.bat_keys (Wire.value_key v);
-      Hashtbl.replace t.proposed inst v;
+      register t ~inst v;
       Hashtbl.replace t.inflight (Wire.value_key v) inst;
       Hashtbl.replace t.outstanding inst (now t);
       Hashtbl.replace t.slot_batch inst base)
@@ -327,7 +352,7 @@ and propose_value t v =
     else if not (Hashtbl.mem t.inflight key) then begin
       let inst = t.next_inst in
       t.next_inst <- t.next_inst + 1;
-      Hashtbl.replace t.proposed inst v;
+      register t ~inst v;
       Hashtbl.replace t.inflight key inst;
       Hashtbl.replace t.outstanding inst (now t);
       match t.aa with
@@ -363,10 +388,8 @@ let re_propose_uncommitted t =
     pairs
 
 let bump_next_inst t =
-  let high =
-    Hashtbl.fold (fun inst _ acc -> max inst acc) t.proposed (-1)
-  in
-  t.next_inst <- max t.next_inst (max (high + 1) (Replica_core.first_gap t.core))
+  t.next_inst <-
+    max t.next_inst (max (t.proposed_high + 1) (Replica_core.first_gap t.core))
 
 (* ----- leadership machinery -------------------------------------------- *)
 
@@ -391,7 +414,9 @@ let adopt_acceptor t =
     t.pending_prepare <- Some pn;
     t.prepare_deadline <- Some (now t + t.cfg.prepare_timeout);
     t.becoming <- true;
-    send t a (Wire.Op_prepare_request { pn; must_be_fresh = t.expect_fresh })
+    send t a
+      (Wire.Op_prepare_request
+         { pn; must_be_fresh = t.expect_fresh; low = Replica_core.first_gap t.core })
 
 let forward_pending t =
   match t.cur_leader with
@@ -539,11 +564,7 @@ and re_evaluate t =
       | None -> ())
 
 and register_own_acceptor_state t =
-  Hashtbl.iter
-    (fun inst (_, v) ->
-      if not (Replica_core.is_decided t.core ~inst) then
-        Hashtbl.replace t.proposed inst v)
-    t.acc_ap
+  Hashtbl.iter (fun inst (_, v) -> register t ~inst v) t.acc_ap
 
 (* ----- client entry ----------------------------------------------------- *)
 
@@ -579,7 +600,29 @@ let handle_request t ~src ~req_id ~cmd ~relaxed_read =
 
 (* ----- acceptor role (Appendix A, lines 45..61) ------------------------- *)
 
-let on_prepare_request t ~src ~pn ~must_be_fresh =
+(* The prepare reply answers for every instance at or above [low] this
+   acceptor accepted: the [acc_ap] entries there, plus the decided
+   values in [low, first_gap) that pruning moved to the log. A decided
+   value carries [Pn.bottom]: it is chosen, so its ballot no longer
+   matters. Sorted by instance. *)
+let accepted_from t ~low =
+  let gap = Replica_core.first_gap t.core in
+  let pending =
+    Hashtbl.fold
+      (fun inst slot acc -> if inst >= low then (inst, slot) :: acc else acc)
+      t.acc_ap []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let decided = ref pending in
+  for inst = gap - 1 downto max 0 low do
+    if not (Hashtbl.mem t.acc_ap inst) then
+      match Replica_core.decided_value t.core ~inst with
+      | Some v -> decided := (inst, (Pn.bottom, v)) :: !decided
+      | None -> ()
+  done;
+  !decided
+
+let on_prepare_request t ~src ~pn ~must_be_fresh ~low =
   if t.acc_retired && not t.cfg.unsafe_stale_adoption then
     (* Tenure over: abandon so the knocker syncs the configuration log
        and finds the acceptor's new home. *)
@@ -593,14 +636,22 @@ let on_prepare_request t ~src ~pn ~must_be_fresh =
     else begin
       t.iam_fresh <- false;
       t.hpn <- pn;
-      let accepted =
-        Hashtbl.fold (fun inst slot acc -> (inst, slot) :: acc) t.acc_ap []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      send t src (Wire.Op_prepare_response { pn; accepted })
+      send t src (Wire.Op_prepare_response { pn; accepted = accepted_from t ~low })
     end
   end
   else send t src (Wire.Op_abandon { hpn = t.hpn })
+
+(* The value an acceptor must keep for [inst]: its own acceptance, or
+   the decided value once pruning moved that acceptance to the log (a
+   decided value is the only one that may ever be learned there). The
+   test-only [unsafe_stale_adoption] skips the log: the guard would
+   also refuse the stale accept that the seeded split-brain needs. *)
+let settled t ~inst =
+  match Hashtbl.find_opt t.acc_ap inst with
+  | Some (_, v0) -> Some v0
+  | None ->
+    if t.cfg.unsafe_stale_adoption then None
+    else Replica_core.decided_value t.core ~inst
 
 let on_accept_request t ~src ~inst ~pn ~v =
   if
@@ -608,9 +659,9 @@ let on_accept_request t ~src ~inst ~pn ~v =
     || not (Pn.equal pn t.hpn)
   then send t src (Wire.Op_abandon { hpn = t.hpn })
   else
-    match Hashtbl.find_opt t.acc_ap inst with
-    | Some (_, v0) ->
-      (* Already accepted: re-issue the learn (covers retried
+    match settled t ~inst with
+    | Some v0 ->
+      (* Already accepted or decided: re-issue the learn (covers retried
          proposals after a lost-looking learn). *)
       Array.iter (fun dst -> send t dst (Wire.Op_learn { inst; v = v0 })) t.cfg.replicas
     | None ->
@@ -632,8 +683,8 @@ let on_accept_batch t ~src ~base ~pn ~vs =
       Array.mapi
         (fun i v ->
           let inst = base + i in
-          match Hashtbl.find_opt t.acc_ap inst with
-          | Some (_, v0) -> v0
+          match settled t ~inst with
+          | Some v0 -> v0
           | None ->
             Hashtbl.replace t.acc_ap inst (pn, v);
             v)
@@ -673,7 +724,11 @@ let on_prepare_response t ~src ~pn ~accepted =
     (* registerProposals: the acceptor's accepted values dominate ours
        for their instances (Lemma 2b). *)
     List.iter
-      (fun (inst, (_, v)) -> Hashtbl.replace t.proposed inst v)
+      (fun (inst, (_, v)) ->
+        (* Decided or not, the acceptor holds a value there: propose
+           above it. *)
+        t.proposed_high <- max t.proposed_high inst;
+        register t ~inst v)
       accepted;
     bump_next_inst t;
     (* Anything adopted may already have been acked by the previous
@@ -780,8 +835,8 @@ let handle t ~src msg =
         if not (Queue.is_empty t.bat_buf) then t.bat_has_fwd <- true
       end
       else handle_value t v
-    | Wire.Op_prepare_request { pn; must_be_fresh } ->
-      on_prepare_request t ~src ~pn ~must_be_fresh
+    | Wire.Op_prepare_request { pn; must_be_fresh; low } ->
+      on_prepare_request t ~src ~pn ~must_be_fresh ~low
     | Wire.Op_prepare_response { pn; accepted } ->
       on_prepare_response t ~src ~pn ~accepted
     | Wire.Op_abandon { hpn } -> on_abandon t ~src ~hpn
@@ -831,11 +886,7 @@ let on_config_entry t ~cseq:_ entry =
     t.n_acceptor_changes <- t.n_acceptor_changes + 1;
     (* Every node registers the carried proposals so whichever node
        leads next re-proposes the same values (Lemma 2a). *)
-    List.iter
-      (fun (inst, v) ->
-        if not (Replica_core.is_decided t.core ~inst) then
-          Hashtbl.replace t.proposed inst v)
-      carried;
+    List.iter (fun (inst, v) -> register t ~inst v) carried;
     if acceptor = t.self then begin
       (* Installed as a fresh backup acceptor: any state left over from
          an earlier tenure belongs to an abandoned epoch. *)
@@ -899,6 +950,7 @@ let create ~env ~config =
       pending_prepare = None;
       prepare_deadline = None;
       proposed = Hashtbl.create 256;
+      proposed_high = -1;
       inflight = Hashtbl.create 256;
       next_inst = 0;
       pending = Queue.create ();
@@ -1004,6 +1056,7 @@ let recover ~env ~config ~stable:st =
       pending_prepare = None;
       prepare_deadline = None;
       proposed = Hashtbl.create 256;
+      proposed_high = -1;
       inflight = Hashtbl.create 256;
       next_inst = 0;
       pending = Queue.create ();
@@ -1087,6 +1140,11 @@ let acceptor_changes t = t.n_acceptor_changes
 let pending_count t = Queue.length t.pending
 let lease_reads t = t.n_lease_reads
 let holds_lease t = t.iam_leader && lease_on t && lease_valid t ~at:(now t)
+
+type retained = { proposals : int; acceptances : int }
+
+let retained t =
+  { proposals = Hashtbl.length t.proposed; acceptances = Hashtbl.length t.acc_ap }
 
 let inject_acceptor_reset t =
   t.hpn <- Pn.bottom;

@@ -74,8 +74,10 @@ type config = {
           deposed candidate's stale [Op_prepare_request] can still
           promote it to leader after the configuration log has moved
           leadership elsewhere (the believed-leader gate on adoption,
-          the retry abandonment on prepare timeout, and the takeover
-          cancellation on a rival [Leader_change] are all disabled).
+          the retry abandonment on prepare timeout, the takeover
+          cancellation on a rival [Leader_change], and the acceptor's
+          check of an accept against its decided log are all
+          disabled).
           Exists so the model checker ({!Ci_explore}) can demonstrate
           that it finds and shrinks this bug class. Never enable
           outside tests. *)
@@ -141,6 +143,20 @@ val holds_lease : t -> bool
 (** [holds_lease t] is whether this replica is leader {e and} a majority
     of grants are unexpired right now, i.e. a local read issued at this
     instant would be served without consensus. *)
+
+type retained = {
+  proposals : int;
+      (** Undecided proposals the proposer keeps for re-proposal. An
+          entry goes when its instance is decided. *)
+  acceptances : int;
+      (** Acceptances the acceptor keeps at or above its decided
+          prefix. Below the prefix its decided log answers for them. *)
+}
+
+val retained : t -> retained
+(** [retained t] counts the protocol-table entries this replica holds
+    beyond its decided log: bounded by the instances in flight, not by
+    the history. *)
 
 val inject_acceptor_reset : t -> unit
 (** [inject_acceptor_reset t] wipes this replica's acceptor-role state

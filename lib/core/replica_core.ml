@@ -49,8 +49,7 @@ let decided_value t ~inst = Op_log.get t.log ~inst
 let first_gap t = Op_log.first_gap t.log
 let highest_decided t = Op_log.highest_decided t.log
 
-let decisions_from t ~from_ =
-  List.filter (fun (i, _) -> i >= from_) (Op_log.to_list t.log)
+let decisions_from t ~from_ = Op_log.to_list ~from_ t.log
 
 let cached_result t ~client ~req_id =
   Session_table.find t.sessions ~client ~req_id
@@ -70,14 +69,18 @@ let commits t = t.executed_upto
 let view t =
   {
     Ci_rsm.Consistency.replica = t.replica;
-    decisions = Op_log.to_list t.log;
+    log = t.log;
     fingerprint = Kv_store.fingerprint t.store;
     executed_prefix = t.executed_upto;
   }
 
-(* Structural fingerprint for the explorer's visited-state table. The
-   view already covers the decided log, the store contents and the
-   executed prefix; the session table is a function of the executed
-   prefix and need not be hashed separately. [hash_param] with a large
-   meaningful-node budget so small model-checked states hash in full. *)
-let digest t = Hashtbl.hash_param 1000 1000 (view t)
+(* Structural fingerprint for the explorer's visited-state table: the
+   decided log as a sorted [(inst, value)] list, the store contents and
+   the executed prefix. The session table is a function of the executed
+   prefix and need not be hashed separately. Keep the hashed shape
+   fixed: the explorer's visited-state counts depend on it. [hash_param]
+   with a large meaningful-node budget so small model-checked states
+   hash in full. *)
+let digest t =
+  Hashtbl.hash_param 1000 1000
+    (t.replica, Op_log.to_list t.log, Kv_store.fingerprint t.store, t.executed_upto)

@@ -39,7 +39,8 @@ val highest_decided : t -> int option
 
 val decisions_from : t -> from_:int -> (int * Wire.value) list
 (** [decisions_from t ~from_] is all decisions with [inst >= from_],
-    sorted (used by learner catch-up replies). *)
+    sorted (used by learner catch-up replies). Scans the log from
+    [from_] only. *)
 
 val cached_result : t -> client:int -> req_id:int -> Ci_rsm.Command.result option
 (** [cached_result t ~client ~req_id] is the stored result if the
@@ -59,7 +60,9 @@ val commits : t -> int
 (** [commits t] is how many instances have been executed. *)
 
 val view : t -> Wire.value Ci_rsm.Consistency.replica_view
-(** [view t] is the snapshot the consistency checker consumes. *)
+(** [view t] is what the consistency checker consumes. It shares the
+    replica's decided log rather than copying it, so it reflects later
+    decisions too: take it once the replica has stopped. *)
 
 val digest : t -> int
 (** [digest t] is a structural fingerprint of the decided log, store

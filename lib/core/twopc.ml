@@ -195,7 +195,7 @@ module Participant = struct
     mutable next_req : int;
     pending : (int, int * phase) Hashtbl.t; (* own req_id -> txn, phase *)
     txns : (int, tstate) Hashtbl.t;
-    mutable issued : (int * Command.t) list;
+    issued : Command.t Ci_rsm.Vec.t; (* by req_id *)
     mutable n_prepares : int;
     mutable n_finishes : int;
   }
@@ -206,7 +206,7 @@ module Participant = struct
       next_req = 0;
       pending = Hashtbl.create 64;
       txns = Hashtbl.create 64;
-      issued = [];
+      issued = Ci_rsm.Vec.create ();
       n_prepares = 0;
       n_finishes = 0;
     }
@@ -228,7 +228,7 @@ module Participant = struct
   let submit t ~txn ~phase cmd =
     let req_id = t.next_req in
     t.next_req <- t.next_req + 1;
-    t.issued <- (req_id, cmd) :: t.issued;
+    Ci_rsm.Vec.push t.issued cmd;
     Hashtbl.replace t.pending req_id (txn, phase);
     self_request t ~req_id cmd;
     req_id
@@ -291,7 +291,7 @@ module Participant = struct
         true)
     | _ -> false
 
-  let issued t = List.rev t.issued
+  let issued t = t.issued
   let prepares t = t.n_prepares
   let finishes t = t.n_finishes
   let inflight t = Hashtbl.length t.pending

@@ -67,9 +67,9 @@ module Participant : sig
       of its own submissions); the caller hands everything else to the
       consensus core sharing the node. *)
 
-  val issued : p -> (int * Ci_rsm.Command.t) list
-  (** [issued t] is every [(req_id, command)] this participant
-      submitted to its shard's consensus — ground truth for the
+  val issued : p -> Ci_rsm.Command.t Ci_rsm.Vec.t
+  (** [issued t] is every command this participant submitted to its
+      shard's consensus, indexed by [req_id] — ground truth for the
       non-triviality check, alongside the clients' logs. *)
 
   val prepares : p -> int

@@ -41,7 +41,7 @@ type t =
   | Request of { req_id : int; cmd : Command.t; relaxed_read : bool }
   | Reply of { req_id : int; result : Command.result }
   | Forward of { v : value }
-  | Op_prepare_request of { pn : Pn.t; must_be_fresh : bool }
+  | Op_prepare_request of { pn : Pn.t; must_be_fresh : bool; low : int }
   | Op_prepare_response of { pn : Pn.t; accepted : (int * (Pn.t * value)) list }
   | Op_abandon of { hpn : Pn.t }
   | Op_accept_request of { inst : int; pn : Pn.t; v : value }
@@ -103,8 +103,9 @@ let pp fmt = function
   | Reply { req_id; result } ->
     Format.fprintf fmt "reply#%d %a" req_id Command.pp_result result
   | Forward { v } -> Format.fprintf fmt "forward %a" pp_value v
-  | Op_prepare_request { pn; must_be_fresh } ->
-    Format.fprintf fmt "op.prepare pn=%a fresh=%b" Pn.pp pn must_be_fresh
+  | Op_prepare_request { pn; must_be_fresh; low } ->
+    Format.fprintf fmt "op.prepare pn=%a fresh=%b low=%d" Pn.pp pn must_be_fresh
+      low
   | Op_prepare_response { pn; accepted } ->
     Format.fprintf fmt "op.prepare-resp pn=%a |ap|=%d" Pn.pp pn
       (List.length accepted)

@@ -52,7 +52,9 @@ type t =
   | Forward of { v : value }
       (** A replica hands a pending request to the (new) leader. *)
   (* 1Paxos data path (Appendix A). *)
-  | Op_prepare_request of { pn : Pn.t; must_be_fresh : bool }
+  | Op_prepare_request of { pn : Pn.t; must_be_fresh : bool; low : int }
+      (** [low] is the new leader's first undecided instance: the
+          acceptor answers for instances at or above it only. *)
   | Op_prepare_response of { pn : Pn.t; accepted : (int * (Pn.t * value)) list }
   | Op_abandon of { hpn : Pn.t }
   | Op_accept_request of { inst : int; pn : Pn.t; v : value }

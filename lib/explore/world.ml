@@ -483,7 +483,16 @@ let check t =
     | Some cmd -> Command.equal cmd v.Wire.cmd
     | None -> false
   in
-  Consistency.check ~equal:Wire.value_equal ~proposed ~acked:(acked t)
+  let acked =
+    Array.fold_left
+      (fun acc -> function
+        | Client c ->
+          (c.c_id, Ci_rsm.Vec.of_list (List.rev_map snd c.c_acked)) :: acc
+        | Replica _ -> acc)
+      [] t.roles
+    |> List.rev
+  in
+  Consistency.check ~equal:Wire.value_equal ~proposed ~acked
     ~key_of:Wire.value_key (views t)
 
 let all_acked t =
@@ -534,7 +543,9 @@ let run_closure t ~max_steps =
   let seen = Hashtbl.create 997 in
   let progress () =
     ( List.length (acked t),
-      List.fold_left (fun a v -> a + List.length v.Consistency.decisions) 0 (views t) )
+      List.fold_left
+        (fun a v -> a + Ci_rsm.Op_log.decided_count v.Consistency.log)
+        0 (views t) )
   in
   let first_deliver () =
     let found = ref None in

@@ -87,8 +87,8 @@ type t = {
      read serialized before an already-acked write — a read-your-writes
      violation no value coincidence can fake. *)
   own : Session_store.t;
-  mutable log : (int * Command.t) list;
-  mutable acked : (int * int) list;
+  log : Command.t Ci_rsm.Vec.t; (* by req_id *)
+  acked : int Ci_rsm.Vec.t; (* req_ids of acknowledged writes *)
   mutable n_done : int;
 }
 
@@ -149,7 +149,7 @@ let rec transmit t op =
 let send_op t (p : pending) =
   let req_id = t.next_req in
   t.next_req <- t.next_req + 1;
-  t.log <- (req_id, p.p_cmd) :: t.log;
+  Ci_rsm.Vec.push t.log p.p_cmd;
   let op =
     {
       i_req = req_id;
@@ -227,15 +227,15 @@ let check_ryw t op result =
 let note_write_acked t op result =
   match (op.i_cmd, result) with
   | Command.Put { key; data }, _ ->
-    t.acked <- (t.env.Node_env.id, op.i_req) :: t.acked;
+    Ci_rsm.Vec.push t.acked op.i_req;
     own_push t ~lclient:op.i_lclient ~key data
   | Command.Cas { key; data; _ }, Command.Swapped true ->
-    t.acked <- (t.env.Node_env.id, op.i_req) :: t.acked;
+    Ci_rsm.Vec.push t.acked op.i_req;
     own_push t ~lclient:op.i_lclient ~key data
   | Command.Cas _, _ ->
     (* The failed swap was still ordered: keep it in [acked] so the
        consistency checker demands its decision, like any write. *)
-    t.acked <- (t.env.Node_env.id, op.i_req) :: t.acked
+    Ci_rsm.Vec.push t.acked op.i_req
   | _ -> ()
 
 let handle t ~src:_ msg =
@@ -260,8 +260,8 @@ let handle t ~src:_ msg =
 let node_id t = t.env.Node_env.id
 let completed t = t.n_done
 let outstanding t = Hashtbl.length t.inflight + Queue.length t.backlog
-let issued t = List.rev t.log
-let acked_writes t = List.rev t.acked
+let issued t = t.log
+let acked_writes t = t.acked
 
 let create ~env ~config ~stats =
   validate_config config;
@@ -280,7 +280,7 @@ let create ~env ~config ~stats =
     backlog = Queue.create ();
     inflight = Hashtbl.create 64;
     own = Session_store.create ~key_space:config.key_space;
-    log = [];
-    acked = [];
+    log = Ci_rsm.Vec.create ();
+    acked = Ci_rsm.Vec.create ();
     n_done = 0;
   }

@@ -67,9 +67,9 @@ val outstanding : t -> int
 (** In-flight plus backlogged requests (drains to 0 after [stop_at]
     given enough quiet time). *)
 
-val issued : t -> (int * Ci_rsm.Command.t) list
-(** Every issued request as [(req_id, cmd)], oldest first — the
-    consistency checker's proposed-commands input. *)
+val issued : t -> Ci_rsm.Command.t Ci_rsm.Vec.t
+(** Every issued command, indexed by [req_id] — the consistency
+    checker's proposed-commands input. *)
 
-val acked_writes : t -> (int * int) list
-(** [(node_id, req_id)] of every acknowledged write, oldest first. *)
+val acked_writes : t -> int Ci_rsm.Vec.t
+(** [req_id] of every acknowledged write, oldest first. *)

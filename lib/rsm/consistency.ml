@@ -1,6 +1,6 @@
 type 'v replica_view = {
   replica : int;
-  decisions : (int * 'v) list;
+  log : 'v Op_log.t;
   fingerprint : int;
   executed_prefix : int;
 }
@@ -19,33 +19,61 @@ type report = {
 
 let ok r = r.violations = []
 
+(* [learned] marks, per acking client, the req_ids some log holds. *)
+let lost_acks ~acked ~key_of views add =
+  let learned = Hashtbl.create 16 in
+  List.iter
+    (fun (client, _) ->
+      if not (Hashtbl.mem learned client) then Hashtbl.add learned client (Dense.create ()))
+    acked;
+  List.iter
+    (fun view ->
+      Op_log.iter view.log (fun _ v ->
+          let client, r = key_of v in
+          match Hashtbl.find_opt learned client with
+          | Some seen when r >= 0 -> Dense.set seen r ()
+          | Some _ | None -> ()))
+    views;
+  List.iter
+    (fun (client, reqs) ->
+      let seen = Hashtbl.find learned client in
+      Vec.iter
+        (fun req_id -> if not (Dense.mem seen req_id) then add (Lost_ack { client; req_id }))
+        reqs)
+    acked
+
 let check ~equal ~proposed ~acked ~key_of views =
   let violations = ref [] in
   let add v = violations := v :: !violations in
-  (* Agreement: first decider of an instance sets the reference. *)
-  let reference : (int, int * 'v) Hashtbl.t = Hashtbl.create 1024 in
-  List.iter
-    (fun view ->
-      List.iter
-        (fun (inst, v) ->
-          match Hashtbl.find_opt reference inst with
-          | None -> Hashtbl.add reference inst (view.replica, v)
+  let arr = Array.of_list views in
+  (* Agreement: the first view (in list order) that decided an instance
+     is its reference; every later view is compared against it. *)
+  let checked = ref 0 in
+  Array.iteri
+    (fun k view ->
+      Op_log.iter view.log (fun inst v ->
+          let rec reference j =
+            if j >= k then None
+            else
+              match Op_log.get arr.(j).log ~inst with
+              | Some v0 -> Some (arr.(j).replica, v0)
+              | None -> reference (j + 1)
+          in
+          match reference 0 with
+          | None -> incr checked
           | Some (owner, v0) ->
             if not (equal v0 v) then
-              add (Disagreement { inst; a = owner; b = view.replica }))
-        view.decisions)
-    views;
+              add (Disagreement { inst; a = owner; b = view.replica })))
+    arr;
   (* Non-triviality. *)
-  List.iter
+  Array.iter
     (fun view ->
-      List.iter
-        (fun (inst, v) ->
-          if not (proposed v) then add (Unproposed { replica = view.replica; inst }))
-        view.decisions)
-    views;
+      Op_log.iter view.log (fun inst v ->
+          if not (proposed v) then add (Unproposed { replica = view.replica; inst })))
+    arr;
   (* State convergence among replicas with equal executed prefixes. *)
   let by_prefix = Hashtbl.create 16 in
-  List.iter
+  Array.iter
     (fun view ->
       match Hashtbl.find_opt by_prefix view.executed_prefix with
       | None -> Hashtbl.add by_prefix view.executed_prefix view
@@ -54,24 +82,13 @@ let check ~equal ~proposed ~acked ~key_of views =
           add
             (Fingerprint_mismatch
                { a = other.replica; b = view.replica; prefix = view.executed_prefix }))
-    views;
+    arr;
   (* Session integrity: every acked request was learned somewhere. *)
-  let learned_keys = Hashtbl.create 1024 in
-  List.iter
-    (fun view ->
-      List.iter
-        (fun (_, v) -> Hashtbl.replace learned_keys (key_of v) ())
-        view.decisions)
-    views;
-  List.iter
-    (fun (client, req_id) ->
-      if not (Hashtbl.mem learned_keys (client, req_id)) then
-        add (Lost_ack { client; req_id }))
-    acked;
+  if acked <> [] then lost_acks ~acked ~key_of views add;
   {
     violations = List.rev !violations;
-    checked_instances = Hashtbl.length reference;
-    checked_replicas = List.length views;
+    checked_instances = !checked;
+    checked_replicas = Array.length arr;
   }
 
 let pp_violation fmt = function

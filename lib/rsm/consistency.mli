@@ -10,11 +10,15 @@
     - {b state convergence}: replicas that executed the same prefix have
       identical store fingerprints;
     - {b session integrity}: every acknowledged client request was
-      learned at least once. *)
+      learned at least once.
+
+    The checker reads each replica's decided log in place: it copies no
+    decisions, and its only scratch state marks which requests of the
+    acknowledging clients some log holds. *)
 
 type 'v replica_view = {
   replica : int;  (** Replica identifier (for reporting). *)
-  decisions : (int * 'v) list;  (** Learned [(instance, value)] pairs. *)
+  log : 'v Op_log.t;  (** The replica's decided log, shared, not copied. *)
   fingerprint : int;  (** Store fingerprint after execution. *)
   executed_prefix : int;  (** First unexecuted instance. *)
 }
@@ -41,15 +45,17 @@ val ok : report -> bool
 val check :
   equal:('v -> 'v -> bool) ->
   proposed:('v -> bool) ->
-  acked:(int * int) list ->
+  acked:(int * int Vec.t) list ->
   key_of:('v -> int * int) ->
   'v replica_view list ->
   report
 (** [check ~equal ~proposed ~acked ~key_of views] evaluates all
     properties. [proposed v] says whether [v] was ever proposed by a
-    client; [acked] lists [(client, req_id)] pairs that received
-    replies; [key_of v] extracts the [(client, req_id)] identity of a
-    value. *)
+    client; [acked] pairs a client with the [req_id]s of its requests
+    that received replies; [key_of v] extracts the [(client, req_id)]
+    identity of a value. Violations are listed by property in the order
+    above; within one property, by replica in [views] order, then by
+    instance (acknowledgements: in [acked] order). *)
 
 val pp_violation : Format.formatter -> violation -> unit
 (** Prints one violation. *)

@@ -1,55 +1,60 @@
 type 'v t = {
   equal : 'v -> 'v -> bool;
-  table : (int, 'v) Hashtbl.t;
-  mutable gap : int; (* smallest possibly-undecided instance *)
-  mutable highest : int option;
+  vals : 'v Dense.t;
+  mutable gap : int; (* smallest undecided instance *)
+  mutable highest : int; (* -1 while empty *)
+  mutable count : int;
   mutable bad : (int * 'v * 'v) list;
 }
 
 let create ?(equal = ( = )) () =
-  { equal; table = Hashtbl.create 256; gap = 0; highest = None; bad = [] }
+  { equal; vals = Dense.create (); gap = 0; highest = -1; count = 0; bad = [] }
 
-let advance_gap t =
-  while Hashtbl.mem t.table t.gap do
-    t.gap <- t.gap + 1
-  done
+let is_decided t ~inst = Dense.mem t.vals inst
 
 let decide t ~inst v =
   if inst < 0 then invalid_arg "Op_log.decide: negative instance";
-  match Hashtbl.find_opt t.table inst with
-  | Some prev ->
+  if Dense.mem t.vals inst then begin
+    let prev = Dense.get t.vals inst in
     if t.equal prev v then `Duplicate
     else begin
       t.bad <- (inst, prev, v) :: t.bad;
       `Conflict prev
     end
-  | None ->
-    Hashtbl.add t.table inst v;
-    (match t.highest with
-     | Some h when h >= inst -> ()
-     | Some _ | None -> t.highest <- Some inst);
-    if inst = t.gap then advance_gap t;
+  end
+  else begin
+    Dense.set t.vals inst v;
+    t.count <- t.count + 1;
+    if inst > t.highest then t.highest <- inst;
+    if inst = t.gap then
+      while Dense.mem t.vals t.gap do
+        t.gap <- t.gap + 1
+      done;
     `New
+  end
 
-let get t ~inst = Hashtbl.find_opt t.table inst
-let is_decided t ~inst = Hashtbl.mem t.table inst
+let get t ~inst = if Dense.mem t.vals inst then Some (Dense.get t.vals inst) else None
 let first_gap t = t.gap
-let highest_decided t = t.highest
-let decided_count t = Hashtbl.length t.table
+let highest_decided t = if t.highest < 0 then None else Some t.highest
+let decided_count t = t.count
 let conflicts t = List.rev t.bad
 
-let to_list t =
-  Hashtbl.fold (fun i v acc -> (i, v) :: acc) t.table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let iter t f =
+  for i = 0 to t.highest do
+    if Dense.mem t.vals i then f i (Dense.get t.vals i)
+  done
+
+let to_list ?(from_ = 0) t =
+  let acc = ref [] in
+  for i = t.highest downto max 0 from_ do
+    if Dense.mem t.vals i then acc := (i, Dense.get t.vals i) :: !acc
+  done;
+  !acc
 
 let iter_prefix t ~from_ f =
   let i = ref from_ in
-  let continue = ref true in
-  while !continue do
-    match Hashtbl.find_opt t.table !i with
-    | Some v ->
-      f !i v;
-      incr i
-    | None -> continue := false
+  while Dense.mem t.vals !i do
+    f !i (Dense.get t.vals !i);
+    incr i
   done;
   !i

@@ -3,7 +3,11 @@
     Consensus decides a value per instance number, but instances may be
     decided out of order (e.g. during a leader change). The log records
     decisions as they arrive and exposes the executable prefix: the
-    maximal contiguous run of decided instances starting at 0. *)
+    maximal contiguous run of decided instances starting at 0.
+
+    Storage is {!Dense}: one word and one bit per instance up to the
+    highest decided one, and no allocation per decision. Instance
+    numbers should therefore be dense, as consensus instances are. *)
 
 type 'v t
 (** A log of decided values of type ['v]. *)
@@ -38,8 +42,13 @@ val conflicts : 'v t -> (int * 'v * 'v) list
 (** [conflicts t] lists observed re-decisions with different values as
     [(inst, first, offender)]. *)
 
-val to_list : 'v t -> (int * 'v) list
-(** [to_list t] is all decisions sorted by instance. *)
+val to_list : ?from_:int -> 'v t -> (int * 'v) list
+(** [to_list ?from_ t] is every decision at or above [from_] (default
+    0), sorted by instance. *)
+
+val iter : 'v t -> (int -> 'v -> unit) -> unit
+(** [iter t f] calls [f inst v] on every decision in increasing
+    instance order, in place. *)
 
 val iter_prefix : 'v t -> from_:int -> (int -> 'v -> unit) -> int
 (** [iter_prefix t ~from_ f] calls [f] on decided instances [from_,

@@ -4,7 +4,11 @@
     on a slow leader and resubmitted to a new one). The session table
     gives the state machine at-most-once semantics: the first execution
     of a [(client, request)] pair records its result; later occurrences
-    are skipped and answered from the cache. *)
+    are skipped and answered from the cache.
+
+    Clients number their requests densely from 0, so results are kept
+    per client in a {!Dense} array indexed by [req_id]: one word per
+    request and no key allocation. *)
 
 type t
 (** A mutable session table. *)

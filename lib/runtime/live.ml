@@ -7,6 +7,7 @@ module Consistency = Ci_rsm.Consistency
 module Replica_core = Ci_consensus.Replica_core
 module Client = Ci_workload.Client
 module Run_stats = Ci_workload.Run_stats
+module Run_check = Ci_workload.Run_check
 module Metrics = Ci_obs.Metrics
 module Summary = Ci_stats.Summary
 module Shard = Ci_consensus.Shard
@@ -96,6 +97,7 @@ type result = {
   retries : int;
   leader_changes : int;
   acceptor_changes : int;
+  retained : Ci_consensus.Onepaxos.retained array;
   timeline : float array;
   queues : queue_totals;
   full_ring_sends : int array;
@@ -698,10 +700,11 @@ let run_inproc spec =
     + (match load with Some s -> Ci_load.Load_stats.completed s | None -> 0)
   in
   let latencies =
-    Array.to_list client_stats
-    |> List.concat_map (fun s ->
-           Array.to_list (Run_stats.latencies_in s ~from_:0 ~until_:t_quiesce))
-    |> Array.of_list
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun s -> Run_stats.latencies_in s ~from_:0 ~until_:t_quiesce)
+            client_stats))
   in
   let retries =
     Array.fold_left (fun acc c -> acc + Client.retries c) 0 clients
@@ -732,107 +735,22 @@ let run_inproc spec =
           0 states;
     }
   in
-  (* Consistency: same construction as Runner.run, over live views. *)
-  let proposed_tbl = Hashtbl.create 4096 in
-  Array.iter
-    (fun c ->
-      let id = Client.node_id c in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Client.issued c))
-    clients;
-  Array.iter
-    (fun d ->
-      let id = Ci_load.Open_client.node_id d in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Ci_load.Open_client.issued d))
-    drivers;
-  Array.iteri
-    (fun g p ->
-      let id = g * n_replicas in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Twopc.Participant.issued p))
-    participants;
-  let proposed (v : Wire.value) =
-    match Hashtbl.find_opt proposed_tbl (v.Wire.client, v.Wire.req_id) with
-    | Some cmd -> Command.equal cmd v.Wire.cmd
-    | None -> false
-  in
-  let acked =
-    (Array.to_list clients |> List.concat_map Client.acked_writes)
-    @ (Array.to_list drivers
-      |> List.concat_map Ci_load.Open_client.acked_writes)
-  in
-  let views =
-    Array.to_list (Array.map (fun r -> Replica_core.view (replica_core r)) replicas)
-  in
+  (* Consistency: the same check as Runner.run, over live views. *)
   let consistency, atomicity =
-    if n_groups = 1 then
-      ( Consistency.check ~equal:Wire.value_equal ~proposed ~acked
-          ~key_of:Wire.value_key views,
-        None )
-    else begin
-      (* Per-group checks and cross-shard atomicity, exactly as in
-         Runner.run: acked single-shard writes go to their owning
-         group's session check, acked cross-shard writes to the
-         atomicity checker. *)
-      let cmd_of key = Hashtbl.find_opt proposed_tbl key in
-      let is_cross key =
-        match cmd_of key with
-        | Some cmd -> List.length (Shard.groups_of ~groups:n_groups cmd) > 1
-        | None -> false
-      in
-      let cross_acked, single_acked = List.partition is_cross acked in
-      let acked_of g =
-        List.filter
-          (fun key ->
-            match cmd_of key with
-            | Some cmd -> Shard.group_of_cmd ~groups:n_groups cmd = g
-            | None -> false)
-          single_acked
-      in
-      let group_views g = List.filteri (fun i _ -> group_of_replica i = g) views in
-      let reports =
-        List.init n_groups (fun g ->
-            Consistency.check ~equal:Wire.value_equal ~proposed
-              ~acked:(acked_of g) ~key_of:Wire.value_key (group_views g))
-      in
-      let consistency =
-        {
-          Consistency.violations =
-            List.concat_map
-              (fun (r : Consistency.report) -> r.Consistency.violations)
-              reports;
-          checked_instances =
-            List.fold_left
-              (fun a (r : Consistency.report) ->
-                a + r.Consistency.checked_instances)
-              0 reports;
-          checked_replicas =
-            List.fold_left
-              (fun a (r : Consistency.report) -> a + r.Consistency.checked_replicas)
-              0 reports;
-        }
-      in
-      let decided =
-        List.init n_groups (fun g ->
-            let cmds =
-              List.concat_map
-                (fun (rv : Wire.value Consistency.replica_view) ->
-                  List.map
-                    (fun (_, (v : Wire.value)) -> v.Wire.cmd)
-                    rv.Consistency.decisions)
-                (group_views g)
-            in
-            (g, cmds))
-      in
-      let txns =
-        Array.to_list routers |> List.concat_map Shard.Router.txn_reports
-      in
-      (consistency, Some (Atomicity.check ~decided ~txns ~acked:cross_acked))
-    end
+    Run_check.check
+      ~sources:
+        (List.concat
+           [
+             Array.to_list (Array.map Run_check.of_client clients);
+             Array.to_list (Array.map Run_check.of_driver drivers);
+             Array.to_list
+               (Array.mapi
+                  (fun g p -> Run_check.of_participant ~node:(g * n_replicas) p)
+                  participants);
+           ])
+      ~views:(Array.map (fun r -> Replica_core.view (replica_core r)) replicas)
+      ~groups:n_groups ~group_of_replica
+      ~txns:(Array.to_list routers |> List.concat_map Shard.Router.txn_reports)
   in
   let full_ring_sends = Array.map (fun s -> Transport.blocked s.tr) states in
   record_ring_metrics metrics states;
@@ -898,10 +816,11 @@ let run_inproc spec =
   Metrics.set_int metrics "live.queue.outbox_dropped"
     queues_total.q_outbox_dropped;
   let completions =
-    Array.to_list client_stats
-    |> List.concat_map (fun s ->
-           Array.to_list (Run_stats.completions_in s ~from_:0 ~until_:t_quiesce))
-    |> Array.of_list
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun s -> Run_stats.completions_in s ~from_:0 ~until_:t_quiesce)
+            client_stats))
   in
   Array.sort compare completions;
   (* Wall-clock commit rates over the measured phase, 100 ms buckets
@@ -942,6 +861,11 @@ let run_inproc spec =
     retries;
     leader_changes;
     acceptor_changes;
+    retained =
+      Array.of_list
+        (List.filter_map
+           (function Op p -> Some (Ci_consensus.Onepaxos.retained p) | Mp _ -> None)
+           (Array.to_list replicas));
     timeline;
     queues = queues_total;
     full_ring_sends;
@@ -957,16 +881,19 @@ let run_inproc spec =
 (* ---------- socket runner: processes over stream sockets ---------- *)
 
 (* What a child process reports back over its control socket before
-   exiting. Plain data throughout, so [Marshal] round-trips it. *)
+   exiting, through [Marshal]. The replica view carries the decided log
+   itself, whose equality function is a closure: children are forks of
+   the parent's executable, so [Marshal.Closures] round-trips it. *)
 type harvest = {
   h_view : Wire.value Consistency.replica_view option; (* replicas *)
   h_leader_changes : int;
   h_acceptor_changes : int;
+  h_retained : Ci_consensus.Onepaxos.retained option;
   h_elections : int;
   h_lease_reads : int;
   h_client_node : int; (* clients: env node id *)
-  h_issued : (int * Command.t) list;
-  h_acked : (int * int) list;
+  h_issued : Command.t Ci_rsm.Vec.t;
+  h_acked : int Ci_rsm.Vec.t;
   h_stats : Run_stats.t option;
   h_retries : int;
   h_events : int;
@@ -1067,6 +994,10 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
         (match replica with
         | Some (Op p) -> Ci_consensus.Onepaxos.acceptor_changes p
         | _ -> 0);
+      h_retained =
+        (match replica with
+        | Some (Op p) -> Some (Ci_consensus.Onepaxos.retained p)
+        | _ -> None);
       h_elections =
         (match replica with
         | Some (Mp p) -> Ci_consensus.Multipaxos.elections p
@@ -1078,9 +1009,12 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
         | None -> 0);
       h_client_node =
         (match client with Some c -> Client.node_id c | None -> -1);
-      h_issued = (match client with Some c -> Client.issued c | None -> []);
+      h_issued =
+        (match client with Some c -> Client.issued c | None -> Ci_rsm.Vec.create ());
       h_acked =
-        (match client with Some c -> Client.acked_writes c | None -> []);
+        (match client with
+        | Some c -> Client.acked_writes c
+        | None -> Ci_rsm.Vec.create ());
       h_stats = (match client with Some _ -> Some stats | None -> None);
       h_retries = (match client with Some c -> Client.retries c | None -> 0);
       h_events = Metrics.counter_value m_work;
@@ -1094,7 +1028,7 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
   in
   Unix.clear_nonblock ctl_fd;
   let oc = Unix.out_channel_of_descr ctl_fd in
-  Marshal.to_channel oc harvest [];
+  Marshal.to_channel oc harvest [ Marshal.Closures ];
   flush oc
 
 let run_socket spec =
@@ -1178,11 +1112,10 @@ let run_socket spec =
       0 client_stats
   in
   let latencies =
-    List.concat_map
-      (fun s ->
-        Array.to_list (Run_stats.latencies_in s ~from_:0 ~until_:t_quiesce))
-      client_stats
-    |> Array.of_list
+    Array.concat
+      (List.map
+         (fun s -> Run_stats.latencies_in s ~from_:0 ~until_:t_quiesce)
+         client_stats)
   in
   let retries =
     List.fold_left (fun acc h -> acc + h.h_retries) 0 client_harvests
@@ -1207,26 +1140,15 @@ let run_socket spec =
         Array.fold_left (fun acc h -> acc + h.h_outbox_dropped) 0 harvests;
     }
   in
-  let proposed_tbl = Hashtbl.create 4096 in
-  List.iter
-    (fun h ->
-      List.iter
-        (fun (req_id, cmd) ->
-          Hashtbl.replace proposed_tbl (h.h_client_node, req_id) cmd)
-        h.h_issued)
-    client_harvests;
-  let proposed (v : Wire.value) =
-    match Hashtbl.find_opt proposed_tbl (v.Wire.client, v.Wire.req_id) with
-    | Some cmd -> Command.equal cmd v.Wire.cmd
-    | None -> false
-  in
-  let acked = List.concat_map (fun h -> h.h_acked) client_harvests in
-  let views =
-    Array.to_list harvests |> List.filter_map (fun h -> h.h_view)
-  in
-  let consistency =
-    Consistency.check ~equal:Wire.value_equal ~proposed ~acked
-      ~key_of:Wire.value_key views
+  let consistency, _ =
+    Run_check.check
+      ~sources:
+        (List.map
+           (fun h ->
+             { Run_check.node = h.h_client_node; issued = h.h_issued; acked = h.h_acked })
+           client_harvests)
+      ~views:(Array.of_list (List.filter_map (fun h -> h.h_view) (Array.to_list harvests)))
+      ~groups:1 ~group_of_replica:Fun.id ~txns:[]
   in
   let metrics = Metrics.create () in
   let m_work = Metrics.counter metrics "live.events" in
@@ -1263,11 +1185,10 @@ let run_socket spec =
   Metrics.set_int metrics "live.queue.outbox_dropped"
     queues_total.q_outbox_dropped;
   let completions =
-    List.concat_map
-      (fun s ->
-        Array.to_list (Run_stats.completions_in s ~from_:0 ~until_:t_quiesce))
-      client_stats
-    |> Array.of_list
+    Array.concat
+      (List.map
+         (fun s -> Run_stats.completions_in s ~from_:0 ~until_:t_quiesce)
+         client_stats)
   in
   Array.sort compare completions;
   let timeline =
@@ -1290,6 +1211,8 @@ let run_socket spec =
     retries;
     leader_changes;
     acceptor_changes;
+    retained =
+      Array.of_list (List.filter_map (fun h -> h.h_retained) (Array.to_list harvests));
     timeline;
     queues = queues_total;
     full_ring_sends = Array.map (fun h -> h.h_blocked) harvests;

@@ -132,6 +132,10 @@ type result = {
           Multi-Paxos: elections initiated (sum). Should be 0 on a
           healthy no-fault run. *)
   acceptor_changes : int;  (** 1Paxos only; 0 for Multi-Paxos. *)
+  retained : Ci_consensus.Onepaxos.retained array;
+      (** 1Paxos only (empty for Multi-Paxos): each replica's
+          protocol-table entries at the end of the run, which the
+          instances in flight bound. *)
   timeline : float array;
       (** Commit rate (op/s) per 100 ms wall-clock bucket over the
           measured phase, full buckets only — the live twin of the

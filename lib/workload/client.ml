@@ -46,8 +46,8 @@ type t = {
   mutable retry_timer : Node_env.timer option;
   mutable done_count : int;
   mutable retry_count : int;
-  mutable log : (int * Command.t) list;
-  mutable acked : (int * int) list;
+  log : Command.t Ci_rsm.Vec.t; (* by req_id *)
+  acked : int Ci_rsm.Vec.t; (* req_ids of acknowledged writes *)
 }
 
 let now t = t.env.Node_env.now ()
@@ -126,7 +126,7 @@ let issue t =
     let req_id = t.next_req in
     t.next_req <- t.next_req + 1;
     let cmd = pick_command t in
-    t.log <- (req_id, cmd) :: t.log;
+    Ci_rsm.Vec.push t.log cmd;
     t.current <- Some (req_id, cmd, now t);
     transmit t ~req_id ~cmd
   end
@@ -145,8 +145,7 @@ let handle t ~src:_ msg =
           first sent, so both measures coincide. *)
        Run_stats.record t.stats ~intended_at:sent_at ~sent_at
          ~replied_at:(now t);
-       if not (Command.is_read cmd) then
-         t.acked <- (t.env.Node_env.id, req_id) :: t.acked;
+       if not (Command.is_read cmd) then Ci_rsm.Vec.push t.acked req_id;
        if t.policy.think > 0 then
          t.env.Node_env.after ~delay:t.policy.think (fun () -> issue t)
        else issue t
@@ -156,8 +155,8 @@ let handle t ~src:_ msg =
 let node_id t = t.env.Node_env.id
 let completed t = t.done_count
 let retries t = t.retry_count
-let issued t = List.rev t.log
-let acked_writes t = List.rev t.acked
+let issued t = t.log
+let acked_writes t = t.acked
 
 let create ~env ~policy ~stats =
   if Array.length policy.targets = 0 then
@@ -174,6 +173,6 @@ let create ~env ~policy ~stats =
     retry_timer = None;
     done_count = 0;
     retry_count = 0;
-    log = [];
-    acked = [];
+    log = Ci_rsm.Vec.create ();
+    acked = Ci_rsm.Vec.create ();
   }

@@ -69,12 +69,12 @@ val completed : t -> int
 val retries : t -> int
 (** [retries t] is how many timeouts fired. *)
 
-val issued : t -> (int * Ci_rsm.Command.t) list
-(** [issued t] is every [(req_id, command)] this client proposed — the
-    ground truth for the non-triviality check. *)
+val issued : t -> Ci_rsm.Command.t Ci_rsm.Vec.t
+(** [issued t] is every command this client proposed, indexed by
+    [req_id] — the ground truth for the non-triviality check. *)
 
-val acked_writes : t -> (int * int) list
-(** [acked_writes t] is the [(client_node, req_id)] pairs of
-    acknowledged {e write} requests — the ground truth for the
-    session-integrity check (reads are excluded: they may legitimately
-    be served without being learned). *)
+val acked_writes : t -> int Ci_rsm.Vec.t
+(** [acked_writes t] is the [req_id]s of acknowledged {e write}
+    requests, oldest first — the ground truth for the session-integrity
+    check (reads are excluded: they may legitimately be served without
+    being learned). *)

@@ -785,117 +785,25 @@ let run spec =
   (match spec.trace with
    | Some ring -> Metrics.set_int metrics "trace.dropped" (Ci_obs.Event.dropped ring)
    | None -> ());
-  (* Consistency. *)
-  let proposed_tbl = Hashtbl.create 4096 in
-  Array.iter
-    (fun c ->
-      let id = Client.node_id c in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Client.issued c))
-    clients;
-  Array.iter
-    (fun d ->
-      let id = Ci_load.Open_client.node_id d in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Ci_load.Open_client.issued d))
-    drivers;
-  (* Participants propose [Prep]/[Fin] as self-requests under their own
-     node's identity — as much client input as the clients' commands. *)
-  Array.iteri
-    (fun g p ->
-      let id = replica_ids.(g * n_replicas) in
-      List.iter
-        (fun (req_id, cmd) -> Hashtbl.replace proposed_tbl (id, req_id) cmd)
-        (Twopc.Participant.issued p))
-    participants;
-  let proposed (v : Wire.value) =
-    (* Mencius skip placeholders are protocol no-ops, not client input. *)
-    Ci_consensus.Mencius.is_skip_value v
-    ||
-    match Hashtbl.find_opt proposed_tbl (v.Wire.client, v.Wire.req_id) with
-    | Some cmd -> Command.equal cmd v.Wire.cmd
-    | None -> false
-  in
-  let acked =
-    (Array.to_list clients |> List.concat_map Client.acked_writes)
-    @ (Array.to_list drivers
-      |> List.concat_map Ci_load.Open_client.acked_writes)
-  in
-  let views =
-    Array.to_list (Array.map (fun r -> Replica_core.view (replica_core r)) replicas)
-  in
+  (* Consistency. Participants propose [Prep]/[Fin] as self-requests
+     under their own node's identity — as much client input as the
+     clients' commands. *)
   let consistency, atomicity =
-    if n_groups = 1 then
-      ( Consistency.check ~equal:Wire.value_equal ~proposed ~acked
-          ~key_of:Wire.value_key views,
-        None )
-    else begin
-      (* Each group is an independent consensus: agreement and state
-         convergence hold within a group, never across groups. An acked
-         single-shard write must be learned by its owning group; an
-         acked cross-shard write commits under the router's identity
-         (no group ever learns the client's own (client, req_id)), so
-         it belongs to the atomicity checker instead. *)
-      let cmd_of key = Hashtbl.find_opt proposed_tbl key in
-      let is_cross key =
-        match cmd_of key with
-        | Some cmd -> List.length (Shard.groups_of ~groups:n_groups cmd) > 1
-        | None -> false
-      in
-      let cross_acked, single_acked = List.partition is_cross acked in
-      let acked_of g =
-        List.filter
-          (fun key ->
-            match cmd_of key with
-            | Some cmd -> Shard.group_of_cmd ~groups:n_groups cmd = g
-            | None -> false)
-          single_acked
-      in
-      let group_views g = List.filteri (fun i _ -> group_of_replica i = g) views in
-      let reports =
-        List.init n_groups (fun g ->
-            Consistency.check ~equal:Wire.value_equal ~proposed
-              ~acked:(acked_of g) ~key_of:Wire.value_key (group_views g))
-      in
-      let consistency =
-        {
-          Consistency.violations =
-            List.concat_map
-              (fun (r : Consistency.report) -> r.Consistency.violations)
-              reports;
-          checked_instances =
-            List.fold_left
-              (fun a (r : Consistency.report) ->
-                a + r.Consistency.checked_instances)
-              0 reports;
-          checked_replicas =
-            List.fold_left
-              (fun a (r : Consistency.report) -> a + r.Consistency.checked_replicas)
-              0 reports;
-        }
-      in
-      (* The atomicity check reads each group's decided commands off the
-         union of its replicas' logs (agreement inside the group was
-         just checked, so the union is one consistent sequence). *)
-      let decided =
-        List.init n_groups (fun g ->
-            let cmds =
-              List.concat_map
-                (fun (rv : Wire.value Consistency.replica_view) ->
-                  List.map
-                    (fun (_, (v : Wire.value)) -> v.Wire.cmd)
-                    rv.Consistency.decisions)
-                (group_views g)
-            in
-            (g, cmds))
-      in
-      let txns =
-        Array.to_list routers |> List.concat_map Shard.Router.txn_reports
-      in
-      (consistency, Some (Atomicity.check ~decided ~txns ~acked:cross_acked))
-    end
+    Run_check.check
+      ~sources:
+        (List.concat
+           [
+             Array.to_list (Array.map Run_check.of_client clients);
+             Array.to_list (Array.map Run_check.of_driver drivers);
+             Array.to_list
+               (Array.mapi
+                  (fun g p ->
+                    Run_check.of_participant ~node:replica_ids.(g * n_replicas) p)
+                  participants);
+           ])
+      ~views:(Array.map (fun r -> Replica_core.view (replica_core r)) replicas)
+      ~groups:n_groups ~group_of_replica
+      ~txns:(Array.to_list routers |> List.concat_map Shard.Router.txn_reports)
   in
   if n_groups > 1 then begin
     let sum f = Array.fold_left (fun a r -> a + f r) 0 routers in

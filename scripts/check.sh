@@ -1,7 +1,8 @@
 #!/bin/sh
 # Developer pre-flight: clean build (warnings fatal), quick tests, the
-# engine self-benchmark, and the single- vs multi-domain paths of the
-# parallel experiment runner. The full adversarial suite is `dune runtest`.
+# perfbench smoke, the engine self-benchmark, and the single- vs
+# multi-domain paths of the parallel experiment runner. The full
+# adversarial suite is `dune runtest`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -10,6 +11,13 @@ dune build
 
 echo "== quick tests (dune build @runtest-quick) =="
 dune build @runtest-quick
+
+echo "== perfbench smoke (every workload, traced and untraced, ~15s) =="
+# Every BENCHMARK.json workload once at 0.2 s windows plus 1% of the
+# per-layer suite; fails on a missing metric or an incorrect run
+# (consistency violation, stale read, failed op, broken 5/10-message
+# loopback count).
+python3 perfbench/run.py --smoke
 
 echo "== engine self-benchmark, jobs=2 (writes BENCH_engine.json) =="
 # --jobs 2 makes the engine section's fixed batch take both the

@@ -124,7 +124,7 @@ let msg_gen =
         Request { req_id; cmd; relaxed_read = flag };
         Reply { req_id; result };
         Forward { v = value };
-        Op_prepare_request { pn; must_be_fresh = flag };
+        Op_prepare_request { pn; must_be_fresh = flag; low };
         Op_prepare_response { pn; accepted = ipnv };
         Op_abandon { hpn = pn };
         Op_accept_request { inst; pn; v = value };
@@ -189,7 +189,7 @@ let vocabulary =
     Wire.Request { req_id = 1; cmd = Command.Cas { key = 1; expect = 2; data = 3 }; relaxed_read = true };
     Reply { req_id = 2; result = Command.Found (Some max_int) };
     Forward { v = value };
-    Op_prepare_request { pn = Pn.bottom; must_be_fresh = false };
+    Op_prepare_request { pn = Pn.bottom; must_be_fresh = false; low = max_int };
     Op_prepare_response { pn; accepted = ipnv };
     Op_abandon { hpn = pn };
     Op_accept_request { inst = 42; pn; v = value };

@@ -73,7 +73,8 @@ let test_view () =
   let view = Replica_core.view t in
   Alcotest.(check int) "replica id" 7 view.Ci_rsm.Consistency.replica;
   Alcotest.(check int) "prefix" 1 view.Ci_rsm.Consistency.executed_prefix;
-  Alcotest.(check int) "decisions" 1 (List.length view.Ci_rsm.Consistency.decisions)
+  Alcotest.(check int) "decisions" 1
+    (Ci_rsm.Op_log.decided_count view.Ci_rsm.Consistency.log)
 
 let test_two_replicas_converge () =
   let a = Replica_core.create ~replica:0 and b = Replica_core.create ~replica:1 in

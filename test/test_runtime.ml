@@ -155,6 +155,44 @@ let test_live_open_loop () =
       check_live_open name (Live.run (open_loop_spec protocol)))
     [ ("1paxos", Live.Onepaxos); ("multipaxos", Live.Multipaxos) ]
 
+(* A 1.25 s open-loop 1Paxos run past saturation: tens of thousands of
+   instances decide, yet each replica's proposer and acceptor tables
+   end the run holding no more entries than the driver's sessions can
+   have in flight. *)
+let test_live_tables_hold_in_flight () =
+  let sessions = 16 in
+  let spec =
+    {
+      (short_spec Live.Onepaxos) with
+      Live.n_clients = 1;
+      duration_s = 1.25;
+      drain_s = 0.3;
+      key_space = 65_536;
+      open_loop =
+        Some
+          {
+            Runner.default_open_loop with
+            Runner.arrival = Ci_load.Arrival.Fixed 100_000.;
+            mix = { Ci_load.Open_client.reads = 0.; cas = 0.; ranges = 0. };
+            sessions;
+          };
+    }
+  in
+  let r = Live.run spec in
+  check_live_open "1paxos saturated" r;
+  Alcotest.(check bool)
+    (Printf.sprintf "history far beyond the bound (%d ops)" r.Live.ops)
+    true (r.Live.ops > 10 * sessions);
+  Alcotest.(check int) "one entry per replica" 3 (Array.length r.Live.retained);
+  Array.iteri
+    (fun i (k : Ci_consensus.Onepaxos.retained) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "replica %d: %d proposals, %d acceptances <= %d in flight" i
+           k.proposals k.acceptances sessions)
+        true
+        (k.proposals <= sessions && k.acceptances <= sessions))
+    r.Live.retained
+
 let test_live_lease_reads () =
   List.iter
     (fun (name, protocol) ->
@@ -289,6 +327,8 @@ let suite =
         test_live_alloc_budget;
       Alcotest.test_case "live open-loop drivers: sessions read their writes"
         `Quick test_live_open_loop;
+      Alcotest.test_case "live saturated 1paxos: tables hold only work in flight"
+        `Slow test_live_tables_hold_in_flight;
       Alcotest.test_case "live leases serve local reads" `Quick
         test_live_lease_reads;
       Alcotest.test_case "spec validation" `Quick test_validation;

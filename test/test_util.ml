@@ -107,12 +107,16 @@ let check_safety ~cores h =
   let report =
     Consistency.check ~equal:Wire.value_equal ~proposed
       ~acked:
-        (List.filter_map
-           (fun (req_id, _, _) ->
-             match Hashtbl.find_opt h.issued req_id with
-             | Some cmd when not (Command.is_read cmd) -> Some (client_id, req_id)
-             | Some _ | None -> None)
-           h.replies)
+        [
+          ( client_id,
+            Ci_rsm.Vec.of_list
+              (List.filter_map
+                 (fun (req_id, _, _) ->
+                   match Hashtbl.find_opt h.issued req_id with
+                   | Some cmd when not (Command.is_read cmd) -> Some req_id
+                   | Some _ | None -> None)
+                 h.replies) );
+        ]
       ~key_of:Wire.value_key views
   in
   if not (Consistency.ok report) then

@@ -44,7 +44,7 @@ let test_kind_total () =
       Wire.Request { req_id = 1; cmd = Command.Nop; relaxed_read = false };
       Reply { req_id = 1; result = Command.Done };
       Forward { v = value };
-      Op_prepare_request { pn; must_be_fresh = true };
+      Op_prepare_request { pn; must_be_fresh = true; low = 3 };
       Op_prepare_response { pn; accepted = [] };
       Op_abandon { hpn = pn };
       Op_accept_request { inst = 0; pn; v = value };
