@@ -307,7 +307,7 @@ let runtime ~jobs:_ =
         in
         let r = Live.run spec in
         {
-          rt_protocol = Live.protocol_name protocol;
+          rt_protocol = Ci_consensus.Protocol.to_string protocol;
           rt_transport = Live.transport_name transport;
           rt_replicas = n_replicas;
           rt_ops = r.Live.ops;
@@ -595,7 +595,7 @@ let shards ~jobs:_ =
           | None -> (0, 0)
         in
         {
-          sh_protocol = Live.protocol_name protocol;
+          sh_protocol = Ci_consensus.Protocol.to_string protocol;
           sh_groups = groups;
           sh_ops = r.Live.ops;
           sh_throughput = r.Live.throughput;
@@ -747,7 +747,7 @@ let service ~jobs =
         in
         let r = Live.run spec in
         let label =
-          Live.protocol_name protocol ^ if lease > 0 then " +lease" else ""
+          Ci_consensus.Protocol.to_string protocol ^ if lease > 0 then " +lease" else ""
         in
         if not (Ci_rsm.Consistency.ok r.Live.consistency) then
           failwith
@@ -923,7 +923,7 @@ let faults ~jobs:_ =
           }
         in
         let r = Runner.run spec in
-        row ~backend:"sim" ~protocol:(Runner.protocol_name protocol) ~scenario
+        row ~backend:"sim" ~protocol:(Ci_consensus.Protocol.to_string protocol) ~scenario
           ~consistent:(Ci_rsm.Consistency.ok r.Runner.consistency)
           r.Runner.failover
       in
@@ -937,7 +937,7 @@ let faults ~jobs:_ =
           }
         in
         let r = Live.run spec in
-        row ~backend:"live" ~protocol:(Live.protocol_name protocol) ~scenario
+        row ~backend:"live" ~protocol:(Ci_consensus.Protocol.to_string protocol) ~scenario
           ~consistent:(Ci_rsm.Consistency.ok r.Live.consistency)
           r.Live.failover
       in
@@ -1058,7 +1058,7 @@ let explore ~jobs:_ =
         let t0 = Unix.gettimeofday () in
         let r = Search.explore ~bounds cfg in
         let wall = Unix.gettimeofday () -. t0 in
-        let name = Trace.protocol_name protocol in
+        let name = Ci_consensus.Protocol.to_string protocol in
         let outcome, trace_len, shrunk_len =
           match r.Search.outcome with
           | Search.Exhausted -> ("exhausted", -1, -1)

@@ -10,24 +10,23 @@ module E = Ci_workload.Experiments
 module Sim_time = Ci_engine.Sim_time
 module Topology = Ci_machine.Topology
 module Net_params = Ci_machine.Net_params
-module Fault_plan = Ci_workload.Fault_plan
+module Protocol = Ci_consensus.Protocol
 
 (* ----- shared argument parsing ----------------------------------------- *)
 
+(* One parser for every subcommand; the library decides which backend
+   runs which protocol and reports the rest as [Invalid_argument]. *)
 let protocol_conv =
-  let parse = function
-    | "1paxos" -> Ok Runner.Onepaxos
-    | "multipaxos" -> Ok Runner.Multipaxos
-    | "2pc" -> Ok Runner.Twopc
-    | "mencius" -> Ok Runner.Mencius
-    | "cheappaxos" -> Ok Runner.Cheappaxos
-    | s ->
+  let parse s =
+    match Protocol.of_string s with
+    | Some p -> Ok p
+    | None ->
       Error
         (`Msg
-           (Printf.sprintf
-              "unknown protocol %S (1paxos|multipaxos|2pc|mencius|cheappaxos)" s))
+           (Printf.sprintf "unknown protocol %S (%s)" s
+              (String.concat "|" (List.map Protocol.to_string Protocol.all))))
   in
-  let print fmt p = Format.pp_print_string fmt (Runner.protocol_name p) in
+  let print fmt p = Format.pp_print_string fmt (Protocol.to_string p) in
   Arg.conv (parse, print)
 
 let topology_conv =
@@ -55,24 +54,6 @@ let net_conv =
         (`Msg (Printf.sprintf "unknown network %S (multicore|lan|lan-wide|rdma)" s))
   in
   Arg.conv (parse, Net_params.pp)
-
-let fault_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ core; from_; until_; factor ] ->
-      (try
-         Ok
-           (Fault_plan.Slow_core
-              {
-                core = int_of_string core;
-                from_ = Sim_time.ms (int_of_string from_);
-                until_ = Sim_time.ms (int_of_string until_);
-                factor = float_of_string factor;
-              })
-       with _ -> Error (`Msg "fault: expected CORE:FROM_MS:UNTIL_MS:FACTOR"))
-    | _ -> Error (`Msg "fault: expected CORE:FROM_MS:UNTIL_MS:FACTOR")
-  in
-  Arg.conv (parse, Fault_plan.pp)
 
 (* Nemesis flag parsers: each flag value is one [Ci_faults.fault] in a
    colon-separated format (times in ms from the start of the run). *)
@@ -157,7 +138,7 @@ let partition_conv =
            })
     | _ -> None)
 
-let slow_nem_conv =
+let slow_conv =
   nem_conv ~expect:"CORE:FROM_MS:UNTIL_MS:FACTOR" (function
     | [ core; from_; until_; factor ] ->
       Some
@@ -170,11 +151,21 @@ let slow_nem_conv =
            })
     | _ -> None)
 
+(* [with_valid run spec k] continues with [k] on the result of
+   [run spec], or reports the library's rejection of the spec and exits
+   1. *)
+let with_valid run spec k =
+  match run spec with
+  | exception Invalid_argument m ->
+    Format.eprintf "%s@." m;
+    1
+  | r -> k r
+
 (* ----- run ---------------------------------------------------------------- *)
 
 let run_cmd =
   let protocol =
-    Arg.(value & opt protocol_conv Runner.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol: 1paxos, multipaxos or 2pc.")
+    Arg.(value & opt protocol_conv Protocol.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol: 1paxos, multipaxos, 2pc, mencius or cheappaxos.")
   in
   let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica count (per group when $(b,--groups) > 1).") in
   let clients = Arg.(value & opt int 5 & info [ "c"; "clients" ] ~doc:"Client count (dedicated mode).") in
@@ -196,7 +187,7 @@ let run_cmd =
   let batch_delay = Arg.(value & opt int 5 & info [ "batch-delay-us" ] ~doc:"How long the leader holds a partial batch (us).") in
   let pipeline = Arg.(value & opt int 0 & info [ "pipeline" ] ~doc:"Max batches in flight at the leader (0 = unbounded, as in the paper).") in
   let coalesce = Arg.(value & opt int 1 & info [ "coalesce" ] ~doc:"Receive-coalescing budget: messages drained per reception charge (1 = uncoalesced).") in
-  let faults = Arg.(value & opt_all fault_conv [] & info [ "slow-core" ] ~doc:"Inject a slowdown, CORE:FROM_MS:UNTIL_MS:FACTOR (repeatable).") in
+  let slows = Arg.(value & opt_all slow_conv [] & info [ "slow-core" ] ~docv:"CORE:FROM_MS:UNTIL_MS:FACTOR" ~doc:"Slow a core by $(i,FACTOR) ($(b,inf) crashes it). Repeatable.") in
   let timeline = Arg.(value & flag & info [ "timeline" ] ~doc:"Also print per-10ms commit rates.") in
   let trace_out = Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc:"Record typed trace events and write them to $(docv).") in
   let trace_format =
@@ -206,7 +197,7 @@ let run_cmd =
   let metrics_out = Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write the run's metrics registry as a flat JSON object to $(docv).") in
   let run protocol replicas clients groups cross_shard joint duration warmup
       seed read_ratio think timeout topology net relaxed local_reads colocate
-      batch batch_delay pipeline coalesce faults timeline trace_out
+      batch batch_delay pipeline coalesce slows timeline trace_out
       trace_format metrics_out =
     let invalid fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; Some 1) fmt in
     let bad =
@@ -258,11 +249,11 @@ let run_cmd =
         batch;
         batch_delay = Sim_time.us batch_delay;
         pipeline;
-        faults;
+        nemesis = { Ci_faults.empty with faults = slows };
         trace = ring;
       }
     in
-    let r = Runner.run spec in
+    with_valid Runner.run spec @@ fun r ->
     Format.printf "%a@." Runner.pp_result r;
     (match r.Runner.atomicity with
      | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
@@ -306,7 +297,7 @@ let run_cmd =
       const run $ protocol $ replicas $ clients $ groups $ cross_shard $ joint
       $ duration $ warmup $ seed $ read_ratio $ think $ timeout $ topology
       $ net $ relaxed $ local_reads $ colocate $ batch $ batch_delay
-      $ pipeline $ coalesce $ faults $ timeline $ trace_out $ trace_format
+      $ pipeline $ coalesce $ slows $ timeline $ trace_out $ trace_format
       $ metrics_out)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one experiment and print its measurements.") term
@@ -315,18 +306,8 @@ let run_cmd =
 
 let live_cmd =
   let module Live = Ci_runtime.Live in
-  let live_protocol_conv =
-    let parse s =
-      match Live.protocol_of_string s with
-      | Some p -> Ok p
-      | None ->
-        Error (`Msg (Printf.sprintf "unknown protocol %S (onepaxos|multipaxos)" s))
-    in
-    let print fmt p = Format.pp_print_string fmt (Live.protocol_name p) in
-    Arg.conv (parse, print)
-  in
   let protocol =
-    Arg.(value & opt live_protocol_conv Live.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol: onepaxos (1paxos) or multipaxos.")
+    Arg.(value & opt protocol_conv Protocol.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol: onepaxos (1paxos) or multipaxos.")
   in
   let live_transport_conv =
     let parse s =
@@ -355,108 +336,84 @@ let live_cmd =
   let metrics_out = Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write the run's metrics registry as a flat JSON object to $(docv).") in
   let run protocol transport replicas clients groups cross_shard duration drain
       seed slots slot_size timeout read_ratio think metrics_out =
-    let invalid fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; Some 1) fmt in
-    let bad =
-      if replicas < 2 then invalid "--replicas must be >= 2"
-      else if clients < 1 then invalid "--clients must be >= 1"
-      else if groups < 1 then invalid "--groups must be >= 1"
-      else if cross_shard < 0. || cross_shard > 1. then
-        invalid "--cross-shard-ratio must be in [0, 1]"
-      else if duration <= 0. then invalid "--duration-s must be > 0"
-      else if drain < 0. then invalid "--drain-s must be >= 0"
-      else if slots < 1 then invalid "--ring-cap must be >= 1"
-      else if
-        slot_size < Ci_runtime.Spsc_bytes.min_slot_size
-        || slot_size land (slot_size - 1) <> 0
-      then
-        invalid "--slot-size must be a power of two >= %d"
-          Ci_runtime.Spsc_bytes.min_slot_size
-      else if transport = Live.Socket && groups > 1 then
-        invalid "--transport socket does not shard yet (--groups must be 1)"
-      else if timeout < 1 then invalid "--timeout-ms must be >= 1"
-      else if read_ratio < 0. || read_ratio > 1. then
-        invalid "--read-ratio must be in [0, 1]"
-      else if think < 0 then invalid "--think-us must be >= 0"
-      else None
+    let spec =
+      {
+        (Live.default_spec ~protocol) with
+        Live.n_replicas = replicas;
+        n_clients = clients;
+        groups;
+        cross_shard_ratio = cross_shard;
+        duration_s = duration;
+        drain_s = drain;
+        transport;
+        seed;
+        queue_slots = slots;
+        slot_size;
+        client_timeout = timeout * 1_000_000;
+        think = think * 1_000;
+        read_ratio;
+      }
     in
-    match bad with
-    | Some code -> code
-    | None ->
-      let spec =
-        {
-          (Live.default_spec ~protocol) with
-          Live.n_replicas = replicas;
-          n_clients = clients;
-          groups;
-          cross_shard_ratio = cross_shard;
-          duration_s = duration;
-          drain_s = drain;
-          transport;
-          seed;
-          queue_slots = slots;
-          slot_size;
-          client_timeout = timeout * 1_000_000;
-          think = think * 1_000;
-          read_ratio;
-        }
-      in
-      match Live.run spec with
-      | exception Unix.Unix_error (e, fn, _)
-        when transport = Live.Socket
-             && (match e with
-                | Unix.EPERM | Unix.EACCES | Unix.ENOSYS | Unix.EAFNOSUPPORT
-                | Unix.EPROTONOSUPPORT | Unix.EMFILE | Unix.ENFILE | Unix.EAGAIN
-                | Unix.ENOMEM ->
-                  true
-                | _ -> false) ->
-        Format.eprintf
-          "live: socket transport unavailable on this host (%s: %s); skipping@."
-          fn (Unix.error_message e);
-        3
-      | r ->
-      let n_routers = if groups = 1 then 0 else groups in
-      Format.printf
-        "live %s (%s): %d replica + %d router + %d client %s on %d cores@."
-        (Live.protocol_name protocol)
-        (Live.transport_name transport)
-        (groups * replicas) n_routers clients
-        (match transport with Live.Spsc -> "domains" | Live.Socket -> "processes")
-        r.Live.cores;
-      Format.printf "  measured %.3fs  ops %d  throughput %.0f op/s@."
-        r.Live.wall_s r.Live.ops r.Live.throughput;
-      Format.printf "  latency %a@." Ci_stats.Summary.pp r.Live.latency;
-      Format.printf "  retries %d  leader-changes %d  acceptor-changes %d@."
-        r.Live.retries r.Live.leader_changes r.Live.acceptor_changes;
-      let q = r.Live.queues in
-      Format.printf "  queues %d  msgs %d  full-ring sends %d  occupancy-peak %d/%d@."
-        q.Live.q_count q.Live.q_msgs q.Live.q_blocked q.Live.q_occupancy_peak
-        slots;
-      Format.printf "  full-ring sends per node: %s@."
-        (String.concat " "
-           (Array.to_list
-              (Array.mapi (fun i b -> Printf.sprintf "n%d:%d" i b)
-                 r.Live.full_ring_sends)));
-      Format.printf "  alloc %.0f words/op (replica+router domains)@."
-        r.Live.alloc_words_per_op;
-      Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
-      (match r.Live.atomicity with
-       | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
-       | None -> ());
-      (match metrics_out with
-       | Some path ->
-         let oc = open_out path in
-         Fun.protect
-           ~finally:(fun () -> close_out oc)
-           (fun () -> output_string oc (Ci_obs.Metrics.to_json r.Live.metrics));
-         Format.printf "wrote %s@." path
-       | None -> ());
-      if
-        Ci_rsm.Consistency.ok r.Live.consistency
-        && (match r.Live.atomicity with
-           | Some a -> Ci_rsm.Atomicity.ok a
-           | None -> true)
-      then 0
-      else 1
+    match Live.run spec with
+    | exception Invalid_argument m ->
+      Format.eprintf "%s@." m;
+      1
+    | exception Unix.Unix_error (e, fn, _)
+      when transport = Live.Socket
+           && (match e with
+              | Unix.EPERM | Unix.EACCES | Unix.ENOSYS | Unix.EAFNOSUPPORT
+              | Unix.EPROTONOSUPPORT | Unix.EMFILE | Unix.ENFILE | Unix.EAGAIN
+              | Unix.ENOMEM ->
+                true
+              | _ -> false) ->
+      Format.eprintf
+        "live: socket transport unavailable on this host (%s: %s); skipping@."
+        fn (Unix.error_message e);
+      3
+    | r ->
+    let n_routers = if groups = 1 then 0 else groups in
+    Format.printf
+      "live %s (%s): %d replica + %d router + %d client %s on %d cores@."
+      (Protocol.to_string protocol)
+      (Live.transport_name transport)
+      (groups * replicas) n_routers clients
+      (match transport with Live.Spsc -> "domains" | Live.Socket -> "processes")
+      r.Live.cores;
+    Format.printf "  measured %.3fs  ops %d  throughput %.0f op/s@."
+      r.Live.wall_s r.Live.ops r.Live.throughput;
+    Format.printf "  latency %a@." Ci_stats.Summary.pp r.Live.latency;
+    Format.printf "  retries %d  leader-changes %d  acceptor-changes %d@."
+      r.Live.retries r.Live.leader_changes r.Live.acceptor_changes;
+    let q = r.Live.queues in
+    Format.printf "  queues %d  msgs %d  full-ring sends %d  occupancy-peak %d/%d@."
+      q.Live.q_count q.Live.q_msgs q.Live.q_blocked q.Live.q_occupancy_peak
+      slots;
+    Format.printf "  full-ring sends per node: %s@."
+      (String.concat " "
+         (Array.to_list
+            (Array.mapi (fun i b -> Printf.sprintf "n%d:%d" i b)
+               r.Live.full_ring_sends)));
+    Format.printf "  alloc %.0f words/op (replica+router domains)@."
+      r.Live.alloc_words_per_op;
+    Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
+    (match r.Live.atomicity with
+     | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
+     | None -> ());
+    (match metrics_out with
+     | Some path ->
+       let oc = open_out path in
+       Fun.protect
+         ~finally:(fun () -> close_out oc)
+         (fun () -> output_string oc (Ci_obs.Metrics.to_json r.Live.metrics));
+       Format.printf "wrote %s@." path
+     | None -> ());
+    if
+      Ci_rsm.Consistency.ok r.Live.consistency
+      && (match r.Live.atomicity with
+         | Some a -> Ci_rsm.Atomicity.ok a
+         | None -> true)
+    then 0
+    else 1
   in
   let term =
     Term.(
@@ -479,7 +436,7 @@ let load_cmd =
     Arg.(value & opt backend_conv `Sim & info [ "backend" ] ~doc:"Backend: $(b,sim) (discrete-event simulator, deterministic) or $(b,live) (OCaml 5 domains over shared-memory byte rings).")
   in
   let protocol =
-    Arg.(value & opt protocol_conv Runner.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol under load (any simulator protocol; $(b,--backend live) supports 1paxos and multipaxos).")
+    Arg.(value & opt protocol_conv Protocol.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol under load (any simulator protocol; $(b,--backend live) supports 1paxos and multipaxos).")
   in
   let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica count.") in
   let clients = Arg.(value & opt int 2 & info [ "c"; "clients" ] ~doc:"Driver count: one open-loop driver per client node; total offered load is $(b,--rate) times this.") in
@@ -544,12 +501,6 @@ let load_cmd =
       reads cas ranges range_span population sessions lease_us lease_skew_us
       duration warmup seed =
     let invalid fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; Some 1) fmt in
-    let live_protocol =
-      match protocol with
-      | Runner.Onepaxos -> Some Live.Onepaxos
-      | Runner.Multipaxos -> Some Live.Multipaxos
-      | _ -> None
-    in
     let bad =
       if replicas < 2 then invalid "--replicas must be >= 2"
       else if clients < 1 then invalid "--clients must be >= 1"
@@ -563,16 +514,8 @@ let load_cmd =
       else if lease_us < 0 then invalid "--lease-us must be >= 0"
       else if lease_us > 0 && lease_skew_us >= lease_us then
         invalid "--lease-skew-us must be < --lease-us"
-      else if
-        lease_us > 0
-        && (match protocol with
-           | Runner.Onepaxos | Runner.Multipaxos -> false
-           | _ -> true)
-      then invalid "--lease-us requires 1paxos or multipaxos"
       else if duration < 1 then invalid "--duration-ms must be >= 1"
       else if warmup < 0 then invalid "--warmup-ms must be >= 0"
-      else if backend = `Live && live_protocol = None then
-        invalid "--backend live supports 1paxos and multipaxos only"
       else None
     in
     match bad with
@@ -609,9 +552,9 @@ let load_cmd =
              open_loop = Some open_loop;
            }
          in
-         let r = Runner.run spec in
+         with_valid Runner.run spec @@ fun r ->
          Format.printf "load %s (sim): %d replicas, %d drivers@."
-           (Runner.protocol_name protocol) replicas clients;
+           (Protocol.to_string protocol) replicas clients;
          let sink = Option.get r.Runner.load in
          print_sink ~offered ~lease:lease_us ~lease_reads:r.Runner.lease_reads sink;
          Format.printf "%a@." Ci_rsm.Consistency.pp r.Runner.consistency;
@@ -619,7 +562,6 @@ let load_cmd =
          then 0
          else 1
        | `Live ->
-         let protocol = Option.get live_protocol in
          let spec =
            {
              (Live.default_spec ~protocol) with
@@ -632,9 +574,9 @@ let load_cmd =
              open_loop = Some open_loop;
            }
          in
-         let r = Live.run spec in
+         with_valid Live.run spec @@ fun r ->
          Format.printf "load %s (live): %d replica + %d driver domains on %d cores@."
-           (Live.protocol_name protocol) replicas clients r.Live.cores;
+           (Protocol.to_string protocol) replicas clients r.Live.cores;
          let sink = Option.get r.Live.load in
          print_sink ~offered ~lease:lease_us ~lease_reads:r.Live.lease_reads sink;
          Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
@@ -691,7 +633,7 @@ let nemesis_cmd =
   in
   let protocol =
     Arg.(
-      value & opt protocol_conv Runner.Onepaxos
+      value & opt protocol_conv Protocol.Onepaxos
       & info [ "p"; "protocol" ]
           ~doc:
             "Protocol: 1paxos, multipaxos, 2pc, mencius or cheappaxos \
@@ -786,7 +728,7 @@ let nemesis_cmd =
   in
   let slows =
     Arg.(
-      value & opt_all slow_nem_conv []
+      value & opt_all slow_conv []
       & info [ "slow-core" ] ~docv:"CORE:FROM_MS:UNTIL_MS:FACTOR"
           ~doc:"Slow a core by $(i,FACTOR) (simulator only). Repeatable.")
   in
@@ -851,64 +793,48 @@ let nemesis_cmd =
                  nemesis = sched;
                }
              in
-             (try
-                let r = Runner.run spec in
-                Format.printf "%a@." Runner.pp_result r;
-                (match r.Runner.atomicity with
-                 | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
-                 | None -> ());
-                nemesis_verdict
-                  ~consistent:
-                    (Ci_rsm.Consistency.ok r.Runner.consistency
-                    && (match r.Runner.atomicity with
-                       | Some a -> Ci_rsm.Atomicity.ok a
-                       | None -> true))
-                  r.Runner.failover
-              with Invalid_argument m -> fail "%s" m)
+             with_valid Runner.run spec @@ fun r ->
+             Format.printf "%a@." Runner.pp_result r;
+             (match r.Runner.atomicity with
+              | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
+              | None -> ());
+             nemesis_verdict
+               ~consistent:
+                 (Ci_rsm.Consistency.ok r.Runner.consistency
+                 && (match r.Runner.atomicity with
+                    | Some a -> Ci_rsm.Atomicity.ok a
+                    | None -> true))
+               r.Runner.failover
            | `Live ->
-             (match protocol with
-              | Runner.Onepaxos | Runner.Multipaxos ->
-                let protocol =
-                  match protocol with
-                  | Runner.Onepaxos -> Live.Onepaxos
-                  | _ -> Live.Multipaxos
-                in
-                let spec =
-                  {
-                    (Live.default_spec ~protocol) with
-                    Live.n_replicas = replicas;
-                    n_clients = clients;
-                    groups;
-                    cross_shard_ratio = cross_shard;
-                    duration_s = float_of_int dur_ms /. 1000.;
-                    seed;
-                    nemesis = sched;
-                  }
-                in
-                (try
-                   let r = Live.run spec in
-                   Format.printf
-                     "live %s: %d ops, %.0f op/s, retries %d, leader-changes \
-                      %d, acceptor-changes %d@."
-                     (Live.protocol_name protocol) r.Live.ops r.Live.throughput
-                     r.Live.retries r.Live.leader_changes
-                     r.Live.acceptor_changes;
-                   Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
-                   (match r.Live.atomicity with
-                    | Some a ->
-                      Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
-                    | None -> ());
-                   nemesis_verdict
-                     ~consistent:
-                       (Ci_rsm.Consistency.ok r.Live.consistency
-                       && (match r.Live.atomicity with
-                          | Some a -> Ci_rsm.Atomicity.ok a
-                          | None -> true))
-                     r.Live.failover
-                 with Invalid_argument m -> fail "%s" m)
-              | p ->
-                fail "--backend live supports 1paxos and multipaxos (got %s)"
-                  (Runner.protocol_name p)))
+             let spec =
+               {
+                 (Live.default_spec ~protocol) with
+                 Live.n_replicas = replicas;
+                 n_clients = clients;
+                 groups;
+                 cross_shard_ratio = cross_shard;
+                 duration_s = float_of_int dur_ms /. 1000.;
+                 seed;
+                 nemesis = sched;
+               }
+             in
+             with_valid Live.run spec @@ fun r ->
+             Format.printf
+               "live %s: %d ops, %.0f op/s, retries %d, leader-changes %d, \
+                acceptor-changes %d@."
+               (Protocol.to_string protocol) r.Live.ops r.Live.throughput
+               r.Live.retries r.Live.leader_changes r.Live.acceptor_changes;
+             Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
+             (match r.Live.atomicity with
+              | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
+              | None -> ());
+             nemesis_verdict
+               ~consistent:
+                 (Ci_rsm.Consistency.ok r.Live.consistency
+                 && (match r.Live.atomicity with
+                    | Some a -> Ci_rsm.Atomicity.ok a
+                    | None -> true))
+               r.Live.failover)
     end
   in
   let term =
@@ -1103,22 +1029,9 @@ let figures_cmd =
 let explore_cmd =
   let module Trace = Ci_explore.Trace in
   let module Search = Ci_explore.Search in
-  let protocol_conv =
-    let parse s =
-      match Trace.protocol_of_name s with
-      | Some p -> Ok p
-      | None ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "unknown protocol %S (1paxos|multipaxos|2pc|mencius|cheappaxos)"
-                s))
-    in
-    Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Trace.protocol_name p))
-  in
   let protocol =
     Arg.(
-      value & opt protocol_conv Trace.Onepaxos
+      value & opt protocol_conv Protocol.Onepaxos
       & info [ "p"; "protocol" ]
           ~doc:"Protocol to check: 1paxos, multipaxos, 2pc, mencius or cheappaxos.")
   in

@@ -32,7 +32,7 @@ let () =
       let r = Runner.run spec in
       assert (Ci_rsm.Consistency.ok r.Runner.consistency);
       Format.printf "%-12s %12.0f %14.1f %16.2f@."
-        (Runner.protocol_name proto) r.Runner.throughput
+        (Ci_consensus.Protocol.to_string proto) r.Runner.throughput
         (r.Runner.latency.Ci_stats.Summary.mean /. 1000.)
         (float_of_int r.Runner.messages /. float_of_int (max 1 r.Runner.total_replies)))
     [ Runner.Twopc; Runner.Multipaxos; Runner.Mencius; Runner.Cheappaxos; Runner.Onepaxos ];

@@ -8,7 +8,6 @@
 
 module Runner = Ci_workload.Runner
 module Sim_time = Ci_engine.Sim_time
-module Fault_plan = Ci_workload.Fault_plan
 
 let timeline protocol =
   let spec =
@@ -20,16 +19,20 @@ let timeline protocol =
       duration = Sim_time.ms 120;
       warmup = Sim_time.ms 10;
       drain = Sim_time.ms 10;
-      faults =
-        [
-          Fault_plan.Slow_core
-            {
-              core = 0;
-              from_ = Sim_time.ms 40;
-              until_ = Sim_time.ms 150;
-              factor = 60.;
-            };
-        ];
+      nemesis =
+        {
+          Ci_faults.empty with
+          faults =
+            [
+              Ci_faults.Slow
+                {
+                  core = 0;
+                  from_ = Sim_time.ms 40;
+                  until_ = Sim_time.ms 150;
+                  factor = 60.;
+                };
+            ];
+        };
     }
   in
   Runner.run spec

@@ -1,19 +1,9 @@
-type protocol = Onepaxos | Multipaxos | Twopc | Mencius | Cheappaxos
-
-let protocol_name = function
-  | Onepaxos -> "1paxos"
-  | Multipaxos -> "multipaxos"
-  | Twopc -> "2pc"
-  | Mencius -> "mencius"
-  | Cheappaxos -> "cheappaxos"
-
-let protocol_of_name = function
-  | "1paxos" | "onepaxos" -> Some Onepaxos
-  | "multipaxos" -> Some Multipaxos
-  | "2pc" | "twopc" -> Some Twopc
-  | "mencius" -> Some Mencius
-  | "cheappaxos" -> Some Cheappaxos
-  | _ -> None
+type protocol = Ci_consensus.Protocol.name =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
 
 type config = {
   protocol : protocol;
@@ -84,7 +74,7 @@ let config_to_line c =
   Printf.sprintf
     "config proto=%s replicas=%d clients=%d commands=%d seed=%d drops=%d \
      crashes=%d fires=%d stale_adoption=%b"
-    (protocol_name c.protocol)
+    (Ci_consensus.Protocol.to_string c.protocol)
     c.n_replicas c.n_clients c.n_commands c.seed c.drop_budget c.crash_budget
     c.fire_budget c.unsafe_stale_adoption
 
@@ -104,7 +94,7 @@ let config_of_line line =
     let int_field k = Option.bind (Hashtbl.find_opt tbl k) int_of_string_opt in
     let bool_field k = Option.bind (Hashtbl.find_opt tbl k) bool_of_string_opt in
     match
-      ( Option.bind (Hashtbl.find_opt tbl "proto") protocol_of_name,
+      ( Option.bind (Hashtbl.find_opt tbl "proto") Ci_consensus.Protocol.of_string,
         int_field "replicas", int_field "clients", int_field "commands",
         int_field "seed", int_field "drops", int_field "crashes",
         int_field "fires", bool_field "stale_adoption" )

@@ -13,13 +13,14 @@
     config header) so counterexamples can be read, edited and diffed by
     hand. *)
 
-type protocol = Onepaxos | Multipaxos | Twopc | Mencius | Cheappaxos
-
-val protocol_name : protocol -> string
-(** CLI-facing name: "1paxos", "multipaxos", "2pc", "mencius",
-    "cheappaxos" (matching the [run] subcommand's vocabulary). *)
-
-val protocol_of_name : string -> protocol option
+type protocol = Ci_consensus.Protocol.name =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
+(** The registry's protocol names, re-exported; the config header
+    spells them with {!Ci_consensus.Protocol.to_string}. *)
 
 type config = {
   protocol : protocol;

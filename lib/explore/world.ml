@@ -3,6 +3,7 @@ module Event_queue = Ci_engine.Event_queue
 module Sim_time = Ci_engine.Sim_time
 module Rng = Ci_engine.Rng
 module Wire = Ci_consensus.Wire
+module Protocol = Ci_consensus.Protocol
 module Command = Ci_rsm.Command
 module Consistency = Ci_rsm.Consistency
 module Event = Ci_obs.Event
@@ -12,12 +13,6 @@ module Event = Ci_obs.Event
    matters to the explorer; 2 ms sits safely above every protocol
    timeout so a replica's own failure detector outruns client churn. *)
 let retry_delay = Sim_time.ms 2
-
-type replica = {
-  r_handle : src:int -> Wire.t -> unit;
-  r_digest : unit -> int;
-  r_view : unit -> Wire.value Consistency.replica_view;
-}
 
 type client = {
   c_id : int;
@@ -30,7 +25,7 @@ type client = {
   mutable c_env : Wire.t Node_env.t option; (* set once at creation *)
 }
 
-type role = Replica of replica | Client of client
+type role = Replica of Protocol.replica | Client of client
 
 type t = {
   cfg : Trace.config;
@@ -78,7 +73,7 @@ let send t ~src ~dst msg =
 
 let rec dispatch t i ~src msg =
   match t.roles.(i) with
-  | Replica r -> r.r_handle ~src msg
+  | Replica r -> r.Protocol.handle ~src msg
   | Client c -> (
     match msg with
     | Wire.Reply { req_id; result = _ } -> (
@@ -162,85 +157,14 @@ let env t i =
   }
 
 let make_replicas t =
-  let module C = Ci_consensus in
-  let replicas = Array.init t.cfg.Trace.n_replicas (fun i -> i) in
-  let core_view core () = C.Replica_core.view core in
-  match t.cfg.Trace.protocol with
-  | Trace.Onepaxos ->
-    let config =
-      {
-        (C.Onepaxos.default_config ~replicas) with
-        C.Onepaxos.unsafe_stale_adoption = t.cfg.Trace.unsafe_stale_adoption;
-      }
-    in
-    let rs =
-      Array.map (fun i -> C.Onepaxos.create ~env:(env t i) ~config) replicas
-    in
-    let wrap r =
-      Replica
-        {
-          r_handle = (fun ~src m -> C.Onepaxos.handle r ~src m);
-          r_digest = (fun () -> C.Onepaxos.digest r);
-          r_view = core_view (C.Onepaxos.replica_core r);
-        }
-    in
-    (Array.map wrap rs, fun () -> Array.iter C.Onepaxos.start rs)
-  | Trace.Multipaxos ->
-    let config = C.Multipaxos.default_config ~replicas in
-    let rs =
-      Array.map (fun i -> C.Multipaxos.create ~env:(env t i) ~config) replicas
-    in
-    let wrap r =
-      Replica
-        {
-          r_handle = (fun ~src m -> C.Multipaxos.handle r ~src m);
-          r_digest = (fun () -> C.Multipaxos.digest r);
-          r_view = core_view (C.Multipaxos.replica_core r);
-        }
-    in
-    (Array.map wrap rs, fun () -> Array.iter C.Multipaxos.start rs)
-  | Trace.Twopc ->
-    let config = C.Twopc.default_config ~replicas in
-    let rs =
-      Array.map (fun i -> C.Twopc.create ~env:(env t i) ~config) replicas
-    in
-    let wrap r =
-      Replica
-        {
-          r_handle = (fun ~src m -> C.Twopc.handle r ~src m);
-          r_digest = (fun () -> C.Twopc.digest r);
-          r_view = core_view (C.Twopc.replica_core r);
-        }
-    in
-    (Array.map wrap rs, fun () -> ())
-  | Trace.Mencius ->
-    let config = C.Mencius.default_config ~replicas in
-    let rs =
-      Array.map (fun i -> C.Mencius.create ~env:(env t i) ~config) replicas
-    in
-    let wrap r =
-      Replica
-        {
-          r_handle = (fun ~src m -> C.Mencius.handle r ~src m);
-          r_digest = (fun () -> C.Mencius.digest r);
-          r_view = core_view (C.Mencius.replica_core r);
-        }
-    in
-    (Array.map wrap rs, fun () -> ())
-  | Trace.Cheappaxos ->
-    let config = C.Cheap_paxos.default_config ~replicas in
-    let rs =
-      Array.map (fun i -> C.Cheap_paxos.create ~env:(env t i) ~config) replicas
-    in
-    let wrap r =
-      Replica
-        {
-          r_handle = (fun ~src m -> C.Cheap_paxos.handle r ~src m);
-          r_digest = (fun () -> C.Cheap_paxos.digest r);
-          r_view = core_view (C.Cheap_paxos.replica_core r);
-        }
-    in
-    (Array.map wrap rs, fun () -> Array.iter C.Cheap_paxos.start rs)
+  let knobs =
+    {
+      Protocol.default_knobs with
+      unsafe_stale_adoption = t.cfg.Trace.unsafe_stale_adoption;
+    }
+  in
+  let replicas = Array.init t.cfg.Trace.n_replicas Fun.id in
+  Array.map (fun i -> Protocol.create t.cfg.Trace.protocol knobs ~replicas (env t i)) replicas
 
 let create ?ring cfg =
   (match Trace.validate_config cfg with
@@ -265,7 +189,7 @@ let create ?ring cfg =
       ring;
     }
   in
-  let replicas, start = make_replicas t in
+  let replicas = make_replicas t in
   let clients =
     Array.init cfg.Trace.n_clients (fun k ->
         let id = cfg.Trace.n_replicas + k in
@@ -273,9 +197,9 @@ let create ?ring cfg =
            every other protocol has a seeded leader/coordinator at
            replica 0. *)
         let primary =
-          match cfg.Trace.protocol with
-          | Trace.Mencius -> k mod cfg.Trace.n_replicas
-          | _ -> 0
+          if Protocol.leaderless cfg.Trace.protocol then
+            k mod cfg.Trace.n_replicas
+          else 0
         in
         let c =
           {
@@ -292,8 +216,8 @@ let create ?ring cfg =
         c.c_env <- Some (env t id);
         Client c)
   in
-  t.roles <- Array.append replicas clients;
-  start ();
+  t.roles <- Array.append (Array.map (fun r -> Replica r) replicas) clients;
+  Array.iter (fun r -> r.Protocol.start ()) replicas;
   Array.iter (function Client c -> client_issue t c | Replica _ -> ()) t.roles;
   for i = 0 to n - 1 do
     drain_self t i
@@ -430,7 +354,7 @@ let digest t =
   let role_digests =
     Array.map
       (function
-        | Replica r -> r.r_digest ()
+        | Replica r -> r.Protocol.digest ()
         | Client c ->
           Hashtbl.hash_param 1000 1000
             ( c.c_next, c.c_current, c.c_target,
@@ -469,7 +393,9 @@ let acked t =
 
 let views t =
   Array.to_list t.roles
-  |> List.filter_map (function Replica r -> Some (r.r_view ()) | Client _ -> None)
+  |> List.filter_map (function
+       | Replica r -> Some (Ci_consensus.Replica_core.view r.Protocol.core)
+       | Client _ -> None)
 
 (* Safety, checked at every explored state: agreement, non-triviality,
    state convergence, session integrity — exactly the runner's

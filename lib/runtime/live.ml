@@ -5,6 +5,7 @@ module Rng = Ci_engine.Rng
 module Command = Ci_rsm.Command
 module Consistency = Ci_rsm.Consistency
 module Replica_core = Ci_consensus.Replica_core
+module Protocol = Ci_consensus.Protocol
 module Client = Ci_workload.Client
 module Run_stats = Ci_workload.Run_stats
 module Run_check = Ci_workload.Run_check
@@ -14,7 +15,13 @@ module Shard = Ci_consensus.Shard
 module Twopc = Ci_consensus.Twopc
 module Atomicity = Ci_rsm.Atomicity
 
-type protocol = Onepaxos | Multipaxos
+type protocol = Protocol.name =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
+
 type transport = Spsc | Socket
 
 type spec = {
@@ -63,13 +70,6 @@ let default_spec ~protocol =
     open_loop = None;
     nemesis = Ci_faults.empty;
   }
-
-let protocol_of_string = function
-  | "onepaxos" | "1paxos" -> Some Onepaxos
-  | "multipaxos" | "multi-paxos" -> Some Multipaxos
-  | _ -> None
-
-let protocol_name = function Onepaxos -> "1paxos" | Multipaxos -> "multipaxos"
 
 let transport_of_string = function
   | "spsc" | "rings" -> Some Spsc
@@ -157,6 +157,12 @@ type node_state = {
 }
 
 let validate spec =
+  (match spec.protocol with
+  | Onepaxos | Multipaxos -> ()
+  | Twopc | Mencius | Cheappaxos ->
+    invalid_arg
+      (Printf.sprintf "Live.run: live runs 1paxos and multipaxos only (got %s)"
+         (Protocol.to_string spec.protocol)));
   if spec.n_replicas < 2 then invalid_arg "Live.run: need >= 2 replicas";
   if spec.n_clients < 1 then invalid_arg "Live.run: need >= 1 client";
   if spec.groups < 1 then invalid_arg "Live.run: groups must be >= 1";
@@ -342,38 +348,16 @@ let event_loop ?ctl st ~t0 ~stop ~m_work =
       end
   done
 
-type replica = Op of Ci_consensus.Onepaxos.t | Mp of Ci_consensus.Multipaxos.t
-
-type stable_snap =
-  | St_op of Ci_consensus.Onepaxos.stable
-  | St_mp of Ci_consensus.Multipaxos.stable
-
-let replica_core = function
-  | Op p -> Ci_consensus.Onepaxos.replica_core p
-  | Mp p -> Ci_consensus.Multipaxos.replica_core p
-
-(* Failure-detection timeouts are wall-clock here: commits take
-   microseconds, so these fire only when something is genuinely wedged
-   — never because a GC pause or a scheduling gap delayed one reply. *)
 let ms = Sim_time.ms
 
-let op_cfg ~spec ~replicas () =
-  let d = Ci_consensus.Onepaxos.default_config ~replicas in
+(* Failure-detection timeouts are wall-clock here: commits take
+   microseconds, so a 50 ms round-trip budget fires only when something
+   is genuinely wedged — never because a GC pause or a scheduling gap
+   delayed one reply. *)
+let knobs spec =
   {
-    d with
-    Ci_consensus.Onepaxos.acceptor_timeout = ms 200;
-    prepare_timeout = ms 200;
-    check_period = ms 50;
-    pu_timeout = ms 100;
-    lease = spec.lease;
-    lease_skew = spec.lease_skew;
-  }
-
-let mp_cfg ~spec ~replicas () =
-  let d = Ci_consensus.Multipaxos.default_config ~replicas in
-  {
-    d with
-    Ci_consensus.Multipaxos.election_timeout = ms 150;
+    Protocol.default_knobs with
+    rtt = ms 50;
     lease = spec.lease;
     lease_skew = spec.lease_skew;
   }
@@ -465,15 +449,12 @@ let run_inproc spec =
   let stop = Atomic.make false in
   let quiesce = Atomic.make false in
   let env_of id = env_for states.(id) ~t0 ~seed:(spec.seed + ((id + 1) * 1_000_003)) in
+  let knobs = knobs spec in
   let replicas =
     Array.init total_replicas (fun i ->
-        let env = env_of i in
-        let replicas = group_ids (group_of_replica i) in
-        match spec.protocol with
-        | Onepaxos ->
-          Op (Ci_consensus.Onepaxos.create ~env ~config:(op_cfg ~spec ~replicas ()))
-        | Multipaxos ->
-          Mp (Ci_consensus.Multipaxos.create ~env ~config:(mp_cfg ~spec ~replicas ())))
+        Protocol.create spec.protocol knobs
+          ~replicas:(group_ids (group_of_replica i))
+          (env_of i))
   in
   (* Sharded runs put a 2PC participant in front of each group's entry
      replica — same wrapping as the sim runner; everything the
@@ -483,10 +464,6 @@ let run_inproc spec =
       (if n_groups = 1 then 0 else n_groups)
       (fun g -> Twopc.Participant.create ~env:(env_of (g * n_replicas)))
   in
-  let base_handler = function
-    | Op p -> Ci_consensus.Onepaxos.handle p
-    | Mp p -> Ci_consensus.Multipaxos.handle p
-  in
   let wrap_handler i h =
     if n_groups > 1 && i mod n_replicas = 0 then begin
       let p = participants.(group_of_replica i) in
@@ -495,7 +472,7 @@ let run_inproc spec =
     else h
   in
   Array.iteri
-    (fun i r -> states.(i).handler <- wrap_handler i (base_handler r))
+    (fun i r -> states.(i).handler <- wrap_handler i r.Protocol.handle)
     replicas;
   (* Routers: hash single-shard commands to their group's entry replica,
      run cross-shard multi-puts as 2PC transactions. *)
@@ -540,14 +517,12 @@ let run_inproc spec =
     Hashtbl.iter
       (fun i trs ->
         let st = states.(i) in
-        let snap = ref None in
+        let restart = ref None in
         let on_crash () =
           (* The durable registers survive (modeled fsync); the mailbox,
              parked sends, armed timers and the handler die with the
              process. *)
-          (match replicas.(i) with
-          | Op p -> snap := Some (St_op (Ci_consensus.Onepaxos.stable p))
-          | Mp p -> snap := Some (St_mp (Ci_consensus.Multipaxos.stable p)));
+          restart := Option.map (fun capture -> capture ()) replicas.(i).Protocol.crash;
           Queue.clear st.selfq;
           Transport.clear_outboxes st.tr;
           st.timers <- Timer_wheel.create ();
@@ -555,24 +530,12 @@ let run_inproc spec =
         in
         let on_restart () =
           st.timers <- Timer_wheel.create ();
-          let env = env_of i in
-          let group = group_ids (group_of_replica i) in
-          let r =
-            match !snap with
-            | Some (St_op s) ->
-              Op
-                (Ci_consensus.Onepaxos.recover ~env
-                   ~config:(op_cfg ~spec ~replicas:group ())
-                   ~stable:s)
-            | Some (St_mp s) ->
-              Mp
-                (Ci_consensus.Multipaxos.recover ~env
-                   ~config:(mp_cfg ~spec ~replicas:group ())
-                   ~stable:s)
-            | None -> assert false
-          in
-          replicas.(i) <- r;
-          st.handler <- wrap_handler i (base_handler r)
+          Option.iter
+            (fun restart ->
+              let r = restart (env_of i) in
+              replicas.(i) <- r;
+              st.handler <- wrap_handler i r.Protocol.handle)
+            !restart
         in
         st.nem <-
           Some
@@ -663,10 +626,7 @@ let run_inproc spec =
     Array.init n (fun i ->
         Domain.spawn (fun () ->
             let a0 = Gc.allocated_bytes () in
-            (if i < total_replicas then
-               match replicas.(i) with
-               | Op p -> Ci_consensus.Onepaxos.start p
-               | Mp p -> Ci_consensus.Multipaxos.start p
+            (if i < total_replicas then replicas.(i).Protocol.start ()
              else if i >= client_base then
                if Array.length drivers > 0 then
                  Ci_load.Open_client.start drivers.(i - client_base)
@@ -710,15 +670,13 @@ let run_inproc spec =
     Array.fold_left (fun acc c -> acc + Client.retries c) 0 clients
     + (match load with Some s -> Ci_load.Load_stats.retries s | None -> 0)
   in
-  let leader_changes, acceptor_changes =
-    Array.fold_left
-      (fun (lc, ac) r ->
-        match r with
-        | Op p ->
-          ( max lc (Ci_consensus.Onepaxos.leader_changes p),
-            max ac (Ci_consensus.Onepaxos.acceptor_changes p) )
-        | Mp p -> (lc + Ci_consensus.Multipaxos.elections p, ac))
-      (0, 0) replicas
+  let counts f = Array.map (fun r -> f r ()) replicas in
+  let leader_changes =
+    Protocol.total_leader_changes spec.protocol
+      (counts (fun r -> r.Protocol.leader_changes))
+  in
+  let acceptor_changes =
+    Array.fold_left max 0 (counts (fun r -> r.Protocol.acceptor_changes))
   in
   let queues_total =
     {
@@ -748,7 +706,7 @@ let run_inproc spec =
                   (fun g p -> Run_check.of_participant ~node:(g * n_replicas) p)
                   participants);
            ])
-      ~views:(Array.map (fun r -> Replica_core.view (replica_core r)) replicas)
+      ~views:(Array.map (fun r -> Replica_core.view r.Protocol.core) replicas)
       ~groups:n_groups ~group_of_replica
       ~txns:(Array.to_list routers |> List.concat_map Shard.Router.txn_reports)
   in
@@ -774,14 +732,7 @@ let run_inproc spec =
     Metrics.set_int metrics "live.shard.aborted" (sum Shard.Router.aborted)
   end;
   let lease_reads =
-    Array.fold_left
-      (fun acc r ->
-        acc
-        +
-        match r with
-        | Op p -> Ci_consensus.Onepaxos.lease_reads p
-        | Mp p -> Ci_consensus.Multipaxos.lease_reads p)
-      0 replicas
+    Array.fold_left ( + ) 0 (counts (fun r -> r.Protocol.lease_reads))
   in
   if spec.lease > 0 then Metrics.set_int metrics "live.lease.reads" lease_reads;
   (match load with
@@ -863,9 +814,7 @@ let run_inproc spec =
     acceptor_changes;
     retained =
       Array.of_list
-        (List.filter_map
-           (function Op p -> Some (Ci_consensus.Onepaxos.retained p) | Mp _ -> None)
-           (Array.to_list replicas));
+        (List.filter_map (fun r -> r.Protocol.retained ()) (Array.to_list replicas));
     timeline;
     queues = queues_total;
     full_ring_sends;
@@ -889,7 +838,6 @@ type harvest = {
   h_leader_changes : int;
   h_acceptor_changes : int;
   h_retained : Ci_consensus.Onepaxos.retained option;
-  h_elections : int;
   h_lease_reads : int;
   h_client_node : int; (* clients: env node id *)
   h_issued : Command.t Ci_rsm.Vec.t;
@@ -936,16 +884,7 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
   in
   let replica =
     if id < n_replicas then
-      Some
-        (match spec.protocol with
-        | Onepaxos ->
-          Op
-            (Ci_consensus.Onepaxos.create ~env
-               ~config:(op_cfg ~spec ~replicas:replica_ids ()))
-        | Multipaxos ->
-          Mp
-            (Ci_consensus.Multipaxos.create ~env
-               ~config:(mp_cfg ~spec ~replicas:replica_ids ())))
+      Some (Protocol.create spec.protocol (knobs spec) ~replicas:replica_ids env)
     else None
   in
   let stats = Run_stats.create ~bucket:(ms 10) in
@@ -964,10 +903,7 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
     end
     else None
   in
-  (match replica with
-  | Some (Op p) -> st.handler <- Ci_consensus.Onepaxos.handle p
-  | Some (Mp p) -> st.handler <- Ci_consensus.Multipaxos.handle p
-  | None -> ());
+  Option.iter (fun r -> st.handler <- r.Protocol.handle) replica;
   (match client with
   | Some c ->
     st.handler <-
@@ -977,36 +913,18 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
   let m_work = Metrics.counter metrics "live.events" in
   let a0 = Gc.allocated_bytes () in
   (match replica with
-  | Some (Op p) -> Ci_consensus.Onepaxos.start p
-  | Some (Mp p) -> Ci_consensus.Multipaxos.start p
+  | Some r -> r.Protocol.start ()
   | None -> Option.iter Client.start client);
   event_loop ~ctl st ~t0 ~stop ~m_work;
   st.alloc_bytes <- Gc.allocated_bytes () -. a0;
+  let count f = match replica with Some r -> f r () | None -> 0 in
   let harvest =
     {
-      h_view =
-        Option.map (fun r -> Replica_core.view (replica_core r)) replica;
-      h_leader_changes =
-        (match replica with
-        | Some (Op p) -> Ci_consensus.Onepaxos.leader_changes p
-        | _ -> 0);
-      h_acceptor_changes =
-        (match replica with
-        | Some (Op p) -> Ci_consensus.Onepaxos.acceptor_changes p
-        | _ -> 0);
-      h_retained =
-        (match replica with
-        | Some (Op p) -> Some (Ci_consensus.Onepaxos.retained p)
-        | _ -> None);
-      h_elections =
-        (match replica with
-        | Some (Mp p) -> Ci_consensus.Multipaxos.elections p
-        | _ -> 0);
-      h_lease_reads =
-        (match replica with
-        | Some (Op p) -> Ci_consensus.Onepaxos.lease_reads p
-        | Some (Mp p) -> Ci_consensus.Multipaxos.lease_reads p
-        | None -> 0);
+      h_view = Option.map (fun r -> Replica_core.view r.Protocol.core) replica;
+      h_leader_changes = count (fun r -> r.Protocol.leader_changes);
+      h_acceptor_changes = count (fun r -> r.Protocol.acceptor_changes);
+      h_retained = Option.bind replica (fun r -> r.Protocol.retained ());
+      h_lease_reads = count (fun r -> r.Protocol.lease_reads);
       h_client_node =
         (match client with Some c -> Client.node_id c | None -> -1);
       h_issued =
@@ -1120,13 +1038,13 @@ let run_socket spec =
   let retries =
     List.fold_left (fun acc h -> acc + h.h_retries) 0 client_harvests
   in
-  let leader_changes, acceptor_changes =
-    Array.fold_left
-      (fun (lc, ac) h ->
-        match spec.protocol with
-        | Onepaxos -> (max lc h.h_leader_changes, max ac h.h_acceptor_changes)
-        | Multipaxos -> (lc + h.h_elections, ac))
-      (0, 0) harvests
+  (* Clients harvest zero counts, which neither a max nor a sum sees. *)
+  let leader_changes =
+    Protocol.total_leader_changes spec.protocol
+      (Array.map (fun h -> h.h_leader_changes) harvests)
+  in
+  let acceptor_changes =
+    Array.fold_left (fun acc h -> max acc h.h_acceptor_changes) 0 harvests
   in
   let queues_total =
     {

@@ -23,7 +23,17 @@
     the join, the same {!Ci_rsm.Consistency} checker the simulator uses
     is run over the live replicas' views. *)
 
-type protocol = Onepaxos | Multipaxos
+type protocol = Ci_consensus.Protocol.name =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
+(** The registry's protocol names, re-exported. Replicas are built,
+    driven and recovered through {!Ci_consensus.Protocol}, with its
+    shared timeout rule at a 50 ms wall-clock round trip. The live
+    runtime runs 1Paxos and Multi-Paxos; {!validate} rejects the
+    others. *)
 
 type transport = Spsc | Socket
 
@@ -128,9 +138,11 @@ type result = {
           reply, as in the simulator). *)
   retries : int;  (** Client timeouts that fired. *)
   leader_changes : int;
-      (** 1Paxos: applied [LeaderChange] entries (max over replicas).
-          Multi-Paxos: elections initiated (sum). Should be 0 on a
-          healthy no-fault run. *)
+      (** Aggregated by the protocol's rule
+          ({!Ci_consensus.Protocol.total_leader_changes}). 1Paxos:
+          applied [LeaderChange] entries (max over replicas), 0 on a
+          healthy no-fault run. Multi-Paxos: elections initiated (sum),
+          1 on a healthy run (the seeded leader's own). *)
   acceptor_changes : int;  (** 1Paxos only; 0 for Multi-Paxos. *)
   retained : Ci_consensus.Onepaxos.retained array;
       (** 1Paxos only (empty for Multi-Paxos): each replica's
@@ -177,6 +189,11 @@ type result = {
           [failover.*] metric keys. *)
 }
 
+val validate : spec -> unit
+(** [validate spec] is the check {!run} starts with.
+    @raise Invalid_argument on a malformed spec (see field docs), or on
+    a protocol other than 1Paxos and Multi-Paxos. *)
+
 val run : spec -> result
 (** [run spec] executes one live run and joins every domain (or reaps
     every forked process) before returning. On hosts with fewer cores
@@ -185,12 +202,6 @@ val run : spec -> result
     the usual [Unix.Unix_error] exceptions escape if the host cannot
     provide sockets or processes.
     @raise Invalid_argument on a malformed spec (see field docs). *)
-
-val protocol_of_string : string -> protocol option
-(** Accepts ["onepaxos"], ["1paxos"], ["multipaxos"], ["multi-paxos"]. *)
-
-val protocol_name : protocol -> string
-(** ["1paxos"] or ["multipaxos"]. *)
 
 val transport_of_string : string -> transport option
 (** Accepts ["spsc"], ["rings"], ["socket"], ["sockets"]. *)

@@ -2,6 +2,7 @@ module Machine = Ci_machine.Machine
 module Topology = Ci_machine.Topology
 module Net_params = Ci_machine.Net_params
 module Sim_time = Ci_engine.Sim_time
+module Protocol = Ci_consensus.Protocol
 
 (* ----- E1: Section 3 network characteristics --------------------------- *)
 
@@ -193,7 +194,7 @@ let latency_table ?jobs ?duration () =
          let r = results.(i) in
          guard_consistent "latency_table" r;
          {
-           protocol = Runner.protocol_name proto;
+           protocol = Protocol.to_string proto;
            latency_us = r.Runner.latency.Ci_stats.Summary.mean /. 1000.;
            paper_latency_us;
            throughput_1c = r.Runner.throughput;
@@ -213,7 +214,7 @@ let fig8 ?jobs ?(clients = [ 1; 2; 3; 5; 7; 10; 13; 17; 21; 26; 31; 38; 45 ]) ?d
     match duration with Some d -> { s with Runner.duration = d } | None -> s
   in
   let group proto =
-    (Runner.protocol_name proto, List.map (fun c -> (c, spec proto c)) clients)
+    (Protocol.to_string proto, List.map (fun c -> (c, spec proto c)) clients)
   in
   sweep_group ~jobs
     [ group Runner.Twopc; group Runner.Multipaxos; group Runner.Onepaxos ]
@@ -235,7 +236,7 @@ let fig9 ?jobs ?(nodes = [ 3; 5; 9; 13; 17; 21; 25; 29; 35; 41; 47 ]) ?duration 
     }
   in
   let group proto =
-    ( Runner.protocol_name proto ^ "-joint",
+    ( Protocol.to_string proto ^ "-joint",
       List.map (fun n -> (n, spec proto n)) nodes )
   in
   sweep_group ~jobs
@@ -304,18 +305,22 @@ let slow_leader_spec proto ~dur ~fault =
     warmup = Sim_time.ms 10;
     drain = Sim_time.ms 10;
     bucket = Sim_time.ms 10;
-    faults =
+    nemesis =
       (if fault then
-         [
-           Fault_plan.Slow_core
-             {
-               core = 0;
-               from_ = Sim_time.ms 40;
-               until_ = dur + Sim_time.ms 20;
-               factor = 60.;
-             };
-         ]
-       else []);
+         {
+           Ci_faults.empty with
+           faults =
+             [
+               Ci_faults.Slow
+                 {
+                   core = 0;
+                   from_ = Sim_time.ms 40;
+                   until_ = dur + Sim_time.ms 20;
+                   factor = 60.;
+                 };
+             ];
+         }
+       else Ci_faults.empty);
   }
 
 (* Labelled (case, spec) pairs run as one parallel batch, results
@@ -407,7 +412,7 @@ let lan_1paxos ?jobs ?(clients = [ 1; 2; 5; 10; 20; 40; 60 ]) ?duration () =
     }
   in
   let group proto =
-    ( Runner.protocol_name proto ^ " LAN",
+    ( Protocol.to_string proto ^ " LAN",
       List.map (fun c -> (c, spec proto c)) clients )
   in
   sweep_group ~jobs [ group Runner.Multipaxos; group Runner.Onepaxos ]
@@ -477,7 +482,7 @@ let ablation_ratio ?jobs ?duration () =
     }
   in
   let group proto =
-    ( Runner.protocol_name proto,
+    ( Protocol.to_string proto,
       List.map (fun p -> (p, spec proto p)) props_us )
   in
   sweep_group ~jobs [ group Runner.Multipaxos; group Runner.Onepaxos ]
@@ -511,7 +516,7 @@ let ablation_batch ?jobs ?duration () =
     else batch_spec ?duration ~protocol:proto ~batch:b ~pipeline:8 ~coalesce:16 ()
   in
   let group proto =
-    (Runner.protocol_name proto, List.map (fun b -> (b, spec proto b)) batches)
+    (Protocol.to_string proto, List.map (fun b -> (b, spec proto b)) batches)
   in
   sweep_group ~jobs [ group Runner.Multipaxos; group Runner.Onepaxos ]
 
@@ -549,7 +554,7 @@ let protocol_comparison ?jobs ?duration ?(params = Net_params.multicore) () =
     { s with Runner.params = params }
   in
   let group proto =
-    (Runner.protocol_name proto, List.map (fun c -> (c, spec proto c)) clients)
+    (Protocol.to_string proto, List.map (fun c -> (c, spec proto c)) clients)
   in
   sweep_group ~jobs
     (List.map group
@@ -599,7 +604,7 @@ let shards ?jobs ?duration ?(groups = [ 1; 2; 4; 8 ])
   let i = ref 0 in
   List.map
     (fun proto ->
-      let label = Runner.protocol_name proto ^ " sharded" in
+      let label = Protocol.to_string proto ^ " sharded" in
       let points =
         List.map
           (fun g ->
@@ -667,7 +672,7 @@ let load_curve ?jobs ?duration ?(rates = [ 20_000.; 60_000.; 120_000.; 240_000. 
   List.concat_map
     (fun proto ->
       let label =
-        Runner.protocol_name proto ^ if lease > 0 then " +lease" else ""
+        Protocol.to_string proto ^ if lease > 0 then " +lease" else ""
       in
       let rows =
         List.map

@@ -76,9 +76,9 @@ type timeline = {
   bucket_ms : float;
   rates : float array;  (** op/s per bucket. *)
   leader_changes : int;
-      (** Per-replica maximum ([Runner.result.leader_changes]) — the
-          count of global transitions, which is what the timeline
-          annotations quote. *)
+      (** [Runner.result.leader_changes], aggregated by the protocol's
+          rule — the count of global transitions, which is what the
+          timeline annotations quote. *)
   acceptor_changes : int;  (** Per-replica maximum, as above. *)
 }
 

@@ -5,25 +5,20 @@ module Cpu = Ci_machine.Cpu
 module Sim = Ci_engine.Sim
 module Sim_time = Ci_engine.Sim_time
 module Metrics = Ci_obs.Metrics
-module Command = Ci_rsm.Command
 module Consistency = Ci_rsm.Consistency
-module Onepaxos = Ci_consensus.Onepaxos
-module Multipaxos = Ci_consensus.Multipaxos
+module Protocol = Ci_consensus.Protocol
 module Twopc = Ci_consensus.Twopc
 module Replica_core = Ci_consensus.Replica_core
 module Shard = Ci_consensus.Shard
-module Atomicity = Ci_rsm.Atomicity
 module Wire = Ci_consensus.Wire
 module Node_env = Ci_engine.Node_env
 
-type protocol = Onepaxos | Multipaxos | Twopc | Mencius | Cheappaxos
-
-let protocol_name = function
-  | Onepaxos -> "1paxos"
-  | Multipaxos -> "multipaxos"
-  | Twopc -> "2pc"
-  | Mencius -> "mencius"
-  | Cheappaxos -> "cheappaxos"
+type protocol = Protocol.name =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
 
 type placement =
   | Dedicated of { n_replicas : int; n_clients : int }
@@ -69,7 +64,6 @@ type spec = {
   think : int;
   timeout : int;
   max_requests : int option;
-  faults : Fault_plan.t list;
   nemesis : Ci_faults.t;
   bucket : int;
   colocate_acceptor : bool;
@@ -100,7 +94,6 @@ let default_spec ~protocol ~placement =
     think = 0;
     timeout = Sim_time.ms 2;
     max_requests = None;
-    faults = [];
     nemesis = Ci_faults.empty;
     bucket = Sim_time.ms 10;
     colocate_acceptor = false;
@@ -174,28 +167,19 @@ type snap = {
   s_busy : int array; (* per core: elapsed occupation ns *)
 }
 
-(* A protocol replica, uniformly. *)
-type replica =
-  | Op of Ci_consensus.Onepaxos.t
-  | Mp of Ci_consensus.Multipaxos.t
-  | Tp of Ci_consensus.Twopc.t
-  | Mn of Ci_consensus.Mencius.t
-  | Cp of Ci_consensus.Cheap_paxos.t
-
 (* Per-replica nemesis bookkeeping. [alive] is the {e current}
    incarnation's liveness cell — a crash flips the cell the dead
    incarnation's timers were gated on, a restart installs a fresh cell,
    so stale timers can never act for their successor. *)
-type stable_snap = St_op of Onepaxos.stable | St_mp of Multipaxos.stable
-
 type nem_state = {
   mutable alive : bool ref;
   mutable paused : bool;
   pending : (unit -> unit) Queue.t;
       (** Messages and timer thunks deferred while paused, replayed in
           arrival order at resume (SIGCONT drains the backlog). *)
-  mutable snap : stable_snap option;
-      (** Durable registers captured at the crash instant. *)
+  mutable restart : (Protocol.env -> Protocol.replica) option;
+      (** Set at the crash instant: rebuilds the replica from the
+          durable registers captured then. *)
 }
 
 (* Gate a node environment for one incarnation: timers of a dead
@@ -212,37 +196,6 @@ let gate_env (base : Wire.t Node_env.t) st alive =
     after_cancel = (fun ~delay f -> base.Node_env.after_cancel ~delay (wrap f));
   }
 
-let replica_handle r ~src msg =
-  match r with
-  | Op x -> Ci_consensus.Onepaxos.handle x ~src msg
-  | Mp x -> Ci_consensus.Multipaxos.handle x ~src msg
-  | Tp x -> Ci_consensus.Twopc.handle x ~src msg
-  | Mn x -> Ci_consensus.Mencius.handle x ~src msg
-  | Cp x -> Ci_consensus.Cheap_paxos.handle x ~src msg
-
-let replica_start = function
-  | Op x -> Ci_consensus.Onepaxos.start x
-  | Mp x -> Ci_consensus.Multipaxos.start x
-  | Cp x -> Ci_consensus.Cheap_paxos.start x
-  | Tp _ | Mn _ -> ()
-
-let replica_core = function
-  | Op x -> Ci_consensus.Onepaxos.replica_core x
-  | Mp x -> Ci_consensus.Multipaxos.replica_core x
-  | Tp x -> Ci_consensus.Twopc.replica_core x
-  | Mn x -> Ci_consensus.Mencius.replica_core x
-  | Cp x -> Ci_consensus.Cheap_paxos.replica_core x
-
-let leader_changes_of = function
-  | Op x -> Ci_consensus.Onepaxos.leader_changes x
-  | Mp x -> Ci_consensus.Multipaxos.elections x
-  | Cp x -> Ci_consensus.Cheap_paxos.reconfigs x
-  | Tp _ | Mn _ -> 0
-
-let acceptor_changes_of = function
-  | Op x -> Ci_consensus.Onepaxos.acceptor_changes x
-  | Mp _ | Tp _ | Mn _ | Cp _ -> 0
-
 let run spec =
   let n_cores = Topology.n_cores spec.topology in
   let n_replicas, n_clients, joint =
@@ -256,28 +209,18 @@ let run spec =
     invalid_arg "Runner.run: cross_shard_ratio must be in [0, 1]";
   let n_groups = spec.groups in
   if n_groups > 1 then begin
-    (match spec.protocol with
-    | Onepaxos | Multipaxos -> ()
-    | Twopc | Mencius | Cheappaxos ->
+    if not (Protocol.shardable spec.protocol) then
       invalid_arg
         "Runner.run: groups > 1 requires a shardable protocol (1paxos or \
-         multipaxos)");
+         multipaxos)";
     if joint then
       invalid_arg "Runner.run: groups > 1 requires dedicated placement";
     if spec.relaxed_reads then
       invalid_arg "Runner.run: relaxed reads are not routed across shards"
   end;
-  if spec.lease > 0 then begin
-    (match spec.protocol with
-    | Onepaxos | Multipaxos -> ()
-    | Twopc | Mencius | Cheappaxos ->
-      invalid_arg
-        "Runner.run: leader leases require 1paxos or multipaxos");
-    if spec.relaxed_reads then
-      invalid_arg
-        "Runner.run: leases and relaxed reads are mutually exclusive read \
-         paths"
-  end;
+  if spec.lease > 0 && spec.relaxed_reads then
+    invalid_arg
+      "Runner.run: leases and relaxed reads are mutually exclusive read paths";
   if spec.open_loop <> None && joint then
     invalid_arg "Runner.run: open-loop load requires dedicated placement";
   (* [n_replicas] is per group; routers get their own nodes. *)
@@ -286,12 +229,6 @@ let run spec =
   if total_replicas > n_cores then
     invalid_arg "Runner.run: more replicas than cores";
   if (not joint) && n_clients < 1 then invalid_arg "Runner.run: need clients";
-  List.iter
-    (fun f ->
-      match Fault_plan.validate ~n_cores f with
-      | Ok () -> ()
-      | Error e -> invalid_arg ("Runner.run: fault plan: " ^ e))
-    spec.faults;
   let has_crashpause =
     Ci_faults.crashes spec.nemesis <> [] || Ci_faults.pauses spec.nemesis <> []
   in
@@ -299,18 +236,10 @@ let run spec =
     (match Ci_faults.validate ~n_cores ~n_nodes:total_replicas spec.nemesis with
     | Ok () -> ()
     | Error e -> invalid_arg ("Runner.run: nemesis: " ^ e));
-    if has_crashpause then begin
-      (match spec.protocol with
-      | Onepaxos | Multipaxos -> ()
-      | Twopc | Mencius | Cheappaxos ->
-        invalid_arg
-          "Runner.run: nemesis crash/pause requires a protocol with \
-           crash-recovery (1paxos or multipaxos)");
-      if joint then
-        invalid_arg
-          "Runner.run: nemesis crash/pause requires dedicated placement \
-           (a joint node's client would die with its replica)"
-    end
+    if has_crashpause && joint then
+      invalid_arg
+        "Runner.run: nemesis crash/pause requires dedicated placement (a \
+         joint node's client would die with its replica)"
   end;
   let machine =
     Machine.create ~seed:spec.seed ~topology:spec.topology ~params:spec.params ()
@@ -326,85 +255,29 @@ let run spec =
   let replica_ids = Array.map Machine.node_id replica_nodes in
   let group_ids g = Array.sub replica_ids (g * n_replicas) n_replicas in
   let group_of_replica i = i / n_replicas in
-  (* Failure-detection and retry timeouts must exceed the network round
-     trip: the multicore defaults would make LAN deployments suspect
-     healthy peers forever. One hop costs send + prop + recv + handler. *)
+  (* Protocol timeouts scale with the network round trip; one hop costs
+     send + prop + recv + handler. *)
   let hop =
     spec.params.Net_params.send_cost + spec.params.Net_params.prop_inter
     + spec.params.Net_params.recv_cost + spec.params.Net_params.handler_cost
   in
-  let rtt = 2 * hop in
-  let op_config ~replicas:replica_ids () =
-    let d = Ci_consensus.Onepaxos.default_config ~replicas:replica_ids in
+  let knobs =
     {
-      d with
-      Ci_consensus.Onepaxos.relaxed_reads = spec.relaxed_reads;
-      initial_acceptor =
-        (if spec.colocate_acceptor then replica_ids.(0)
-         else replica_ids.(1 mod Array.length replica_ids));
-      acceptor_timeout = max d.Ci_consensus.Onepaxos.acceptor_timeout (4 * rtt);
-      prepare_timeout = max d.Ci_consensus.Onepaxos.prepare_timeout (4 * rtt);
-      check_period = max d.Ci_consensus.Onepaxos.check_period rtt;
-      pu_timeout = max d.Ci_consensus.Onepaxos.pu_timeout (3 * rtt);
-      max_batch = spec.batch;
-      batch_delay = spec.batch_delay;
-      window = spec.pipeline;
+      Protocol.rtt = 2 * hop;
+      relaxed_reads = spec.relaxed_reads;
+      local_reads = spec.local_reads;
       lease = spec.lease;
       lease_skew = spec.lease_skew;
-    }
-  in
-  let mp_config ~replicas:replica_ids () =
-    let d = Ci_consensus.Multipaxos.default_config ~replicas:replica_ids in
-    {
-      d with
-      Ci_consensus.Multipaxos.relaxed_reads = spec.relaxed_reads;
-      election_timeout = max d.Ci_consensus.Multipaxos.election_timeout (3 * rtt);
-      max_batch = spec.batch;
+      batch = spec.batch;
       batch_delay = spec.batch_delay;
       window = spec.pipeline;
-      lease = spec.lease;
-      lease_skew = spec.lease_skew;
+      colocate_acceptor = spec.colocate_acceptor;
+      unsafe_stale_adoption = false;
     }
-  in
-  let make_replica ~group env =
-    let replicas = group_ids group in
-    match spec.protocol with
-    | Onepaxos ->
-      Op (Ci_consensus.Onepaxos.create ~env ~config:(op_config ~replicas ()))
-    | Multipaxos ->
-      Mp (Ci_consensus.Multipaxos.create ~env ~config:(mp_config ~replicas ()))
-    | Twopc ->
-      let cfg =
-        {
-          (Ci_consensus.Twopc.default_config ~replicas) with
-          local_reads = spec.local_reads;
-        }
-      in
-      Tp (Ci_consensus.Twopc.create ~env ~config:cfg)
-    | Mencius ->
-      let cfg =
-        {
-          (Ci_consensus.Mencius.default_config ~replicas) with
-          relaxed_reads = spec.relaxed_reads;
-        }
-      in
-      Mn (Ci_consensus.Mencius.create ~env ~config:cfg)
-    | Cheappaxos ->
-      let d = Ci_consensus.Cheap_paxos.default_config ~replicas in
-      let cfg =
-        {
-          d with
-          Ci_consensus.Cheap_paxos.acceptor_timeout =
-            max d.Ci_consensus.Cheap_paxos.acceptor_timeout (4 * rtt);
-          check_period = max d.Ci_consensus.Cheap_paxos.check_period rtt;
-          reconfig_timeout = max d.Ci_consensus.Cheap_paxos.reconfig_timeout (4 * rtt);
-        }
-      in
-      Cp (Ci_consensus.Cheap_paxos.create ~env ~config:cfg)
   in
   let nem =
     Array.init total_replicas (fun _ ->
-        { alive = ref true; paused = false; pending = Queue.create (); snap = None })
+        { alive = ref true; paused = false; pending = Queue.create (); restart = None })
   in
   (* Environments are wrapped only under a crash/pause schedule: the
      empty-nemesis path hands protocols the machine's own environment,
@@ -415,8 +288,16 @@ let run spec =
   in
   let replicas =
     Array.init total_replicas (fun i ->
-        make_replica ~group:(group_of_replica i) (env_for i))
+        Protocol.create spec.protocol knobs
+          ~replicas:(group_ids (group_of_replica i))
+          (env_for i))
   in
+  if has_crashpause && replicas.(0).Protocol.crash = None then
+    invalid_arg
+      (Printf.sprintf
+         "Runner.run: nemesis crash/pause requires a protocol with \
+          crash-recovery (got %s)"
+         (Protocol.to_string spec.protocol));
   (* Routers (sharded runs) and clients share the cores after the
      replicas; at [groups = 1] there are no routers and the layout is
      the historical one. *)
@@ -448,7 +329,7 @@ let run spec =
       (Client.default_policy
          ~targets:(if n_routers = 0 then replica_ids else router_ids))
       with
-      Client.failover = spec.protocol <> Twopc;
+      Client.failover = Protocol.client_failover spec.protocol;
       timeout = spec.timeout;
       think = spec.think;
       read_ratio = spec.read_ratio;
@@ -468,7 +349,7 @@ let run spec =
              the leaders instead of pointing everyone at replica 0. *)
           let policy =
             if n_routers > 0 then { policy with Client.primary = i mod n_routers }
-            else if spec.protocol = Mencius then
+            else if Protocol.leaderless spec.protocol then
               { policy with Client.primary = i mod n_replicas }
             else policy
           in
@@ -489,9 +370,9 @@ let run spec =
                 (if n_routers = 0 then replica_ids else router_ids);
               primary =
                 (if n_routers > 0 then i mod n_routers
-                 else if spec.protocol = Mencius then i mod n_replicas
+                 else if Protocol.leaderless spec.protocol then i mod n_replicas
                  else 0);
-              failover = spec.protocol <> Twopc;
+              failover = Protocol.client_failover spec.protocol;
               timeout = spec.timeout;
               arrival = ol.arrival;
               key_dist = ol.key_dist;
@@ -534,7 +415,7 @@ let run spec =
       let deliver ~src msg =
         match part_of i with
         | Some p when Twopc.Participant.handle p ~src msg -> ()
-        | Some _ | None -> replica_handle replicas.(i) ~src msg
+        | Some _ | None -> replicas.(i).Protocol.handle ~src msg
       in
       if has_crashpause then
         let st = nem.(i) in
@@ -547,7 +428,7 @@ let run spec =
         Machine.set_handler node (fun ~src msg ->
             match msg with
             | Wire.Reply _ -> Client.handle c ~src msg
-            | _ -> replica_handle r ~src msg)
+            | _ -> r.Protocol.handle ~src msg)
       else
         Machine.set_handler node (fun ~src msg -> deliver ~src msg))
     replica_nodes;
@@ -584,15 +465,10 @@ let run spec =
      ring, labelling message events with their wire constructor names. *)
   Machine.set_observer ~msg_label:Wire.kind machine spec.trace;
   (* Faults, protocol bootstrap, load. *)
-  List.iter (fun f -> Fault_plan.apply f machine) spec.faults;
   let do_crash ~node:i =
     let st = nem.(i) in
-    st.snap <-
-      Some
-        (match replicas.(i) with
-        | Op x -> St_op (Ci_consensus.Onepaxos.stable x)
-        | Mp x -> St_mp (Ci_consensus.Multipaxos.stable x)
-        | Tp _ | Mn _ | Cp _ -> assert false);
+    (* Only a protocol with crash-recovery gets here (checked above). *)
+    st.restart <- Option.map (fun capture -> capture ()) replicas.(i).Protocol.crash;
     st.alive := false;
     st.paused <- false;
     Queue.clear st.pending;
@@ -603,22 +479,10 @@ let run spec =
     Machine.set_node_down replica_nodes.(i) false;
     let alive = ref true in
     st.alive <- alive;
-    let env = gate_env (Machine.env replica_nodes.(i)) st alive in
-    let r =
-      match st.snap with
-      | Some (St_op s) ->
-        Op
-          (Ci_consensus.Onepaxos.recover ~env
-             ~config:(op_config ~replicas:(group_ids (group_of_replica i)) ())
-             ~stable:s)
-      | Some (St_mp s) ->
-        Mp
-          (Ci_consensus.Multipaxos.recover ~env
-             ~config:(mp_config ~replicas:(group_ids (group_of_replica i)) ())
-             ~stable:s)
-      | None -> assert false
-    in
-    replicas.(i) <- r
+    Option.iter
+      (fun restart ->
+        replicas.(i) <- restart (gate_env (Machine.env replica_nodes.(i)) st alive))
+      st.restart
   in
   let do_pause ~node:i =
     nem.(i).paused <- true;
@@ -636,7 +500,7 @@ let run spec =
   in
   Nemesis.install machine ~nemesis:spec.nemesis ~crash:do_crash
     ~restart:do_restart ~pause:do_pause ~resume:do_resume;
-  Array.iter replica_start replicas;
+  Array.iter (fun r -> r.Protocol.start ()) replicas;
   Array.iter Client.start clients;
   Array.iter Ci_load.Open_client.start drivers;
   (* Counter snapshots at the window boundaries, taken from inside the
@@ -801,7 +665,7 @@ let run spec =
                     Run_check.of_participant ~node:replica_ids.(g * n_replicas) p)
                   participants);
            ])
-      ~views:(Array.map (fun r -> Replica_core.view (replica_core r)) replicas)
+      ~views:(Array.map (fun r -> Replica_core.view r.Protocol.core) replicas)
       ~groups:n_groups ~group_of_replica
       ~txns:(Array.to_list routers |> List.concat_map Shard.Router.txn_reports)
   in
@@ -812,33 +676,18 @@ let run spec =
     Metrics.set_int metrics "shard.committed" (sum Shard.Router.committed);
     Metrics.set_int metrics "shard.aborted" (sum Shard.Router.aborted)
   end;
-  let leader_changes =
-    Array.fold_left (fun acc r -> max acc (leader_changes_of r)) 0 replicas
-  in
-  let leader_changes_sum =
-    Array.fold_left (fun acc r -> acc + leader_changes_of r) 0 replicas
-  in
-  let acceptor_changes =
-    Array.fold_left (fun acc r -> max acc (acceptor_changes_of r)) 0 replicas
-  in
-  let acceptor_changes_sum =
-    Array.fold_left (fun acc r -> acc + acceptor_changes_of r) 0 replicas
-  in
-  Metrics.set_int metrics "leader_changes.max" leader_changes;
+  let counts f = Array.map (fun r -> f r ()) replicas in
+  let sum = Array.fold_left ( + ) 0 and peak = Array.fold_left max 0 in
+  let lc = counts (fun r -> r.Protocol.leader_changes) in
+  let ac = counts (fun r -> r.Protocol.acceptor_changes) in
+  let leader_changes = Protocol.total_leader_changes spec.protocol lc in
+  let leader_changes_sum = sum lc in
+  let acceptor_changes = peak ac and acceptor_changes_sum = sum ac in
+  Metrics.set_int metrics "leader_changes.max" (peak lc);
   Metrics.set_int metrics "leader_changes.sum" leader_changes_sum;
   Metrics.set_int metrics "acceptor_changes.max" acceptor_changes;
   Metrics.set_int metrics "acceptor_changes.sum" acceptor_changes_sum;
-  let lease_reads =
-    Array.fold_left
-      (fun acc r ->
-        acc
-        +
-        match r with
-        | Op x -> Ci_consensus.Onepaxos.lease_reads x
-        | Mp x -> Ci_consensus.Multipaxos.lease_reads x
-        | Tp _ | Mn _ | Cp _ -> 0)
-      0 replicas
-  in
+  let lease_reads = sum (counts (fun r -> r.Protocol.lease_reads)) in
   (* Lease and load metric keys exist only when the feature is on, so
      default-spec metric dumps are unchanged. *)
   if spec.lease > 0 then Metrics.set_int metrics "lease.reads" lease_reads;

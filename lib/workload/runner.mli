@@ -8,11 +8,14 @@
     - {b Joint} (§7.4–7.5): every node is both replica and client; all
       commands are forwarded to the leader. *)
 
-type protocol = Onepaxos | Multipaxos | Twopc | Mencius | Cheappaxos
-
-val protocol_name : protocol -> string
-(** Short lowercase name ("1paxos", "multipaxos", "2pc", "mencius",
-    "cheappaxos"). *)
+type protocol = Ci_consensus.Protocol.name =
+  | Onepaxos
+  | Multipaxos
+  | Twopc
+  | Mencius
+  | Cheappaxos
+(** The registry's protocol names, re-exported; replicas are built and
+    driven through {!Ci_consensus.Protocol}. *)
 
 type placement =
   | Dedicated of { n_replicas : int; n_clients : int }
@@ -65,14 +68,14 @@ type spec = {
   think : int;  (** Client think time (ns). *)
   timeout : int;  (** Client retry timeout (ns). *)
   max_requests : int option;  (** Per-client request budget. *)
-  faults : Fault_plan.t list;
   nemesis : Ci_faults.t;
       (** Declarative fault schedule ({!Ci_faults.empty} by default —
           the empty schedule is guaranteed not to perturb the run).
-          Link faults and slowdowns work for every protocol; crash and
-          pause faults require 1Paxos or Multi-Paxos (the protocols
-          with a [recover] entry point) under dedicated placement, and
-          their node indices refer to replicas [0..R-1]. Invalid or
+          Link faults and slowdowns work for every protocol (a [Slow]
+          with an infinite factor is a crashed core); crash and pause
+          faults require a protocol whose registry entry has a [crash]
+          (1Paxos or Multi-Paxos) under dedicated placement, and their
+          node indices refer to replicas [0..R-1]. Invalid or
           unsupported schedules raise [Invalid_argument]. *)
   bucket : int;  (** Throughput time-series bucket (ns). *)
   colocate_acceptor : bool;
@@ -168,14 +171,18 @@ type result = {
       (** Utilization for every core hosting a node, ascending core id;
           the leader's core is [u_core = 0]. *)
   leader_changes : int;
-      (** Per-replica {e maximum} of applied leader-change entries — the
-          number of global leadership transitions as seen by the most
-          caught-up replica. This is the figure the experiment tables
-          and timelines (E6/E7) quote. *)
+      (** Leader changes, aggregated by the protocol's rule
+          ({!Ci_consensus.Protocol.total_leader_changes}): the maximum
+          over replicas of a replicated counter (1Paxos, Cheap Paxos —
+          the transitions the most caught-up replica applied), the sum
+          of a per-replica one (Multi-Paxos elections started). This is
+          the figure the experiment tables and timelines (E6/E7)
+          quote. *)
   leader_changes_sum : int;
-      (** Sum over replicas of applied leader-change entries (≈ max ×
-          replicas when all replicas observe every change) — useful for
-          spotting replicas that missed configuration entries. *)
+      (** Sum over replicas of the leader-change counters (≈ max ×
+          replicas for a replicated counter when all replicas observe
+          every change) — useful for spotting replicas that missed
+          configuration entries. *)
   acceptor_changes : int;  (** Per-replica maximum, as above. *)
   acceptor_changes_sum : int;  (** Sum over replicas, as above. *)
   sim_events : int;

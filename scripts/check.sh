@@ -123,6 +123,16 @@ dune exec bin/consensus_sim.exe -- explore -p multipaxos \
   --fires 0 --crashes 1 --commands 1 --max-depth 48 \
   | grep -q '^outcome=exhausted$'
 
+echo "== protocol-name smoke (one parser: any alias on any subcommand) =="
+# Every subcommand parses protocol names through the registry, so the
+# live runtime's spelling works on the simulator's nemesis and the
+# hyphenated one on the explorer. Both exit non-zero on a violation.
+dune exec bin/consensus_sim.exe -- nemesis -p onepaxos \
+  --scenario crash-acceptor > /dev/null
+dune exec bin/consensus_sim.exe -- explore -p multi-paxos \
+  --fires 0 --crashes 1 --commands 1 --max-depth 48 \
+  | grep -q '^outcome=exhausted$'
+
 echo "== BENCH_explore.json sanity (committed artifact of 'bench explore') =="
 # Regenerated by `dune exec bench/main.exe -- explore`; here we only
 # check the committed artifact parses and has the promised shape: the

@@ -64,7 +64,9 @@ let onepaxos_exhausts_with_a_crash () =
   | Search.Bounded -> Alcotest.fail "expected exhaustion, hit budget"
   | Search.Violated { violation; _ } ->
     Alcotest.failf "unexpected violation: %a" Search.pp_violation violation);
-  Alcotest.(check bool) "explored a real space" true (r.Search.stats.states > 100);
+  (* Pinned: building replicas through the protocol registry must not
+     change what the explorer sees. *)
+  Alcotest.(check int) "explored states" 251 r.Search.stats.states;
   Alcotest.(check bool) "dedup pruned something" true
     (r.Search.stats.dedup_hits > 0);
   Alcotest.(check bool) "sleep sets pruned something" true
@@ -75,11 +77,12 @@ let multipaxos_exhausts_with_a_crash () =
     Search.explore ~bounds:(bounds ())
       (cfg ~protocol:Trace.Multipaxos ~crashes:1 ~fires:0 ~commands:1 ())
   in
-  match r.Search.outcome with
+  (match r.Search.outcome with
   | Search.Exhausted -> ()
   | Search.Bounded -> Alcotest.fail "expected exhaustion, hit budget"
   | Search.Violated { violation; _ } ->
-    Alcotest.failf "unexpected violation: %a" Search.pp_violation violation
+    Alcotest.failf "unexpected violation: %a" Search.pp_violation violation);
+  Alcotest.(check int) "explored states" 3824 r.Search.stats.states
 
 (* ----- genuine liveness counterexamples --------------------------------- *)
 

@@ -207,27 +207,22 @@ let rejects_bad_schedules () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "joint crash: accepted"
 
+(* Slow-core windows, the paper's fault, validated by the one schedule
+   validator (a crash is an infinite factor). *)
 let fault_plan_validation () =
-  let ok = function Ok () -> true | Error _ -> false in
-  Alcotest.(check bool) "valid slow" true
-    (ok
-       (Ci_workload.Fault_plan.validate ~n_cores:48
-          (Ci_workload.Fault_plan.Slow_core
-             { core = 0; from_ = 0; until_ = 10; factor = 9. })));
-  Alcotest.(check bool) "inverted window" false
-    (ok
-       (Ci_workload.Fault_plan.validate
-          (Ci_workload.Fault_plan.Crash_core { core = 0; from_ = 10; until_ = 10 })));
-  Alcotest.(check bool) "core range" false
-    (ok
-       (Ci_workload.Fault_plan.validate ~n_cores:4
-          (Ci_workload.Fault_plan.Slow_core
-             { core = 9; from_ = 0; until_ = 10; factor = 2. })));
-  Alcotest.(check bool) "NaN factor" false
-    (ok
-       (Ci_workload.Fault_plan.validate
-          (Ci_workload.Fault_plan.Slow_core
-             { core = 0; from_ = 0; until_ = 10; factor = Float.nan })))
+  let ok ?n_cores f =
+    match Ci_faults.validate ?n_cores ~n_nodes:3 { Ci_faults.empty with faults = [ f ] } with
+    | Ok () -> true
+    | Error _ -> false
+  in
+  let slow ?(core = 0) ?(from_ = 0) ?(until_ = 10) factor =
+    Ci_faults.Slow { core; from_; until_; factor }
+  in
+  Alcotest.(check bool) "valid slow" true (ok ~n_cores:48 (slow 9.));
+  Alcotest.(check bool) "crash is an infinite slowdown" true (ok (slow infinity));
+  Alcotest.(check bool) "inverted window" false (ok (slow ~from_:10 ~until_:10 infinity));
+  Alcotest.(check bool) "core range" false (ok ~n_cores:4 (slow ~core:9 2.));
+  Alcotest.(check bool) "NaN factor" false (ok (slow Float.nan))
 
 (* Randomized nemesis grid: every protocol stays consistent under every
    schedule [Ci_faults.random] can produce (crash/pause schedules are

@@ -4,12 +4,12 @@
    do to liveness. *)
 
 module Runner = Ci_workload.Runner
-module Fault_plan = Ci_workload.Fault_plan
 module Sim_time = Ci_engine.Sim_time
 module Consistency = Ci_rsm.Consistency
 
-(* A random fault plan: up to three slowdown windows on arbitrary cores
-   of the 8-core machine, various severities including full crashes. *)
+(* A random fault schedule: up to three slowdown windows on arbitrary
+   cores of the 8-core machine, various severities including full
+   crashes (an infinite factor). *)
 let fault_gen =
   QCheck.Gen.(
     list_size (int_bound 3)
@@ -19,7 +19,7 @@ let fault_gen =
        let* sev = int_bound 3 in
        let factor = [| 5.; 30.; 200.; infinity |].(sev) in
        return
-         (Fault_plan.Slow_core
+         (Ci_faults.Slow
             {
               core;
               from_ = Sim_time.ms start_ms;
@@ -38,7 +38,7 @@ let scenario_gen =
 let scenario_print (seed, faults, clients, read_pct) =
   Format.asprintf "seed=%d clients=%d reads=%d%% faults=[%a]" seed clients
     read_pct
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") Fault_plan.pp)
+    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f "; ") Ci_faults.pp_fault)
     faults
 
 let scenario = QCheck.make ~print:scenario_print scenario_gen
@@ -56,7 +56,7 @@ let run_scenario protocol (seed, faults, clients, read_pct) =
       seed;
       read_ratio = float_of_int read_pct /. 100.;
       timeout = Sim_time.ms 1;
-      faults;
+      nemesis = { Ci_faults.empty with faults };
     }
   in
   Runner.run spec
@@ -101,7 +101,7 @@ let run_batched protocol ((seed, faults, clients, read_pct), batch, pipeline, co
       seed;
       read_ratio = float_of_int read_pct /. 100.;
       timeout = Sim_time.ms 1;
-      faults;
+      nemesis = { Ci_faults.empty with faults };
       batch;
       pipeline;
       params =
@@ -140,11 +140,20 @@ let recovery_prop =
           drain = Sim_time.ms 5;
           seed;
           timeout = Sim_time.ms 1;
-          faults =
-            [
-              Fault_plan.Crash_core
-                { core; from_ = Sim_time.ms 5; until_ = Sim_time.ms 20 };
-            ];
+          nemesis =
+            {
+              Ci_faults.empty with
+              faults =
+                [
+                  Ci_faults.Slow
+                    {
+                      core;
+                      from_ = Sim_time.ms 5;
+                      until_ = Sim_time.ms 20;
+                      factor = infinity;
+                    };
+                ];
+            };
         }
       in
       let r = Runner.run spec in
@@ -160,7 +169,7 @@ let recovery_prop =
 (* Pinned scenarios that once violated agreement; kept as deterministic
    regressions. *)
 let slow core from_ until_ factor =
-  Fault_plan.Slow_core
+  Ci_faults.Slow
     { core; from_ = Sim_time.ms from_; until_ = Sim_time.ms until_; factor }
 
 (* A stale takeover attempt on replica 2 (its leadership lost while its

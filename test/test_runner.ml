@@ -1,7 +1,7 @@
 (* The experiment runner: placements, measurement windows, faults. *)
 
 module Runner = Ci_workload.Runner
-module Fault_plan = Ci_workload.Fault_plan
+module Protocol = Ci_consensus.Protocol
 module Sim_time = Ci_engine.Sim_time
 module Topology = Ci_machine.Topology
 module Net_params = Ci_machine.Net_params
@@ -52,11 +52,15 @@ let test_fault_applied () =
   let faulty =
     {
       base with
-      Runner.faults =
-        [
-          Fault_plan.Slow_core
-            { core = 0; from_ = Sim_time.ms 2; until_ = Sim_time.ms 20; factor = 1e9 };
-        ];
+      Runner.nemesis =
+        {
+          Ci_faults.empty with
+          faults =
+            [
+              Ci_faults.Slow
+                { core = 0; from_ = Sim_time.ms 2; until_ = Sim_time.ms 20; factor = 1e9 };
+            ];
+        };
     }
   in
   let healthy = Runner.run base and broken = Runner.run faulty in
@@ -66,14 +70,24 @@ let test_fault_applied () =
     true
     (broken.Runner.commits * 10 < healthy.Runner.commits)
 
+(* A crashed core is a core slowed without bound. *)
+let crashed_core core =
+  {
+    Ci_faults.empty with
+    faults =
+      [
+        Ci_faults.Slow
+          { core; from_ = Sim_time.ms 2; until_ = Sim_time.s 1; factor = infinity };
+      ];
+  }
+
 let test_crash_core_fault () =
   let r =
     Runner.run
       {
         (quick_spec ())
         with
-        Runner.faults =
-          [ Fault_plan.Crash_core { core = 1; from_ = Sim_time.ms 2; until_ = Sim_time.s 1 } ];
+        Runner.nemesis = crashed_core 1;
       }
   in
   (* Crashing the acceptor: 1Paxos replaces it and keeps committing. *)
@@ -111,10 +125,10 @@ let test_colocated_acceptor_option () =
   Alcotest.(check bool) "consistent" true (Ci_rsm.Consistency.ok r.Runner.consistency)
 
 let test_protocol_names () =
-  Alcotest.(check string) "1paxos" "1paxos" (Runner.protocol_name Runner.Onepaxos);
+  Alcotest.(check string) "1paxos" "1paxos" (Protocol.to_string Runner.Onepaxos);
   Alcotest.(check string) "multipaxos" "multipaxos"
-    (Runner.protocol_name Runner.Multipaxos);
-  Alcotest.(check string) "2pc" "2pc" (Runner.protocol_name Runner.Twopc)
+    (Protocol.to_string Runner.Multipaxos);
+  Alcotest.(check string) "2pc" "2pc" (Protocol.to_string Runner.Twopc)
 
 let test_window_split_sums () =
   let r = Runner.run (quick_spec ()) in
@@ -154,7 +168,7 @@ let messages_per_commit ?(batch = 1) ?(pipeline = 0) protocol =
   in
   let r = Runner.run spec in
   Alcotest.(check bool)
-    (Printf.sprintf "%s commits" (Runner.protocol_name protocol))
+    (Printf.sprintf "%s commits" (Protocol.to_string protocol))
     true (r.Runner.commits > 100);
   float_of_int r.Runner.messages /. float_of_int r.Runner.commits
 
@@ -256,8 +270,7 @@ let test_change_counter_aggregates () =
       {
         (quick_spec ())
         with
-        Runner.faults =
-          [ Fault_plan.Crash_core { core = 1; from_ = Sim_time.ms 2; until_ = Sim_time.s 1 } ];
+        Runner.nemesis = crashed_core 1;
       }
   in
   Alcotest.(check bool) "sum dominates the per-replica max" true

@@ -254,17 +254,42 @@ let test_validation () =
         };
     }
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The live runtime runs 1Paxos and Multi-Paxos; the other registry
+   protocols are rejected up front, naming the protocol. *)
+let test_live_protocols () =
+  let ok = Live.default_spec ~protocol:Live.Onepaxos in
+  Live.validate ok;
+  Live.validate { ok with Live.protocol = Live.Multipaxos };
+  List.iter
+    (fun protocol ->
+      let name = Ci_consensus.Protocol.to_string protocol in
+      match Live.validate { ok with Live.protocol } with
+      | exception Invalid_argument m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: message %S names it" name m)
+          true
+          (contains m name)
+      | () -> Alcotest.failf "%s: accepted on the live runtime" name)
+    [ Live.Twopc; Live.Mencius; Live.Cheappaxos ]
+
 let test_protocol_names () =
   List.iter
     (fun (s, expect) ->
       Alcotest.(check (option string)) s expect
-        (Option.map Live.protocol_name (Live.protocol_of_string s)))
+        (Option.map Ci_consensus.Protocol.to_string
+           (Ci_consensus.Protocol.of_string s)))
     [
       ("onepaxos", Some "1paxos");
       ("1paxos", Some "1paxos");
       ("multipaxos", Some "multipaxos");
       ("multi-paxos", Some "multipaxos");
-      ("2pc", None);
+      ("2pc", Some "2pc");
+      ("paxos", None);
     ];
   List.iter
     (fun (s, expect) ->
@@ -334,6 +359,8 @@ let suite =
       Alcotest.test_case "spec validation" `Quick test_validation;
       Alcotest.test_case "protocol and transport name parsing" `Quick
         test_protocol_names;
+      Alcotest.test_case "validate: live runs 1paxos and multipaxos only" `Quick
+        test_live_protocols;
       Alcotest.test_case "socket transport: both protocols consistent" `Quick
         test_socket_smoke;
     ] )
