@@ -161,16 +161,65 @@ let with_valid run spec k =
     1
   | r -> k r
 
+module Live = Ci_runtime.Live
+
+(* One [--transport] for every subcommand that runs the live backend. *)
+let transport =
+  let transport_conv =
+    let parse s =
+      match Live.transport_of_string s with
+      | Some t -> Ok t
+      | None -> Error (`Msg (Printf.sprintf "unknown transport %S (spsc|socket)" s))
+    in
+    let print fmt t = Format.pp_print_string fmt (Live.transport_name t) in
+    Arg.conv (parse, print)
+  in
+  Arg.(value & opt transport_conv Live.Spsc & info [ "transport" ] ~doc:"Live-runtime transport: $(b,spsc) (domains over shared-memory byte rings, the default) or $(b,socket) (one process per node over stream sockets; exit 3 when the host cannot provide them).")
+
+(* [with_live spec k] is [with_valid Live.run spec k], except that a
+   host that cannot provide the socket transport's sockets or processes
+   exits 3 ("skipped") instead of failing. *)
+let with_live spec k =
+  match Live.run spec with
+  | exception Unix.Unix_error (e, fn, _)
+    when spec.Live.transport = Live.Socket
+         && (match e with
+            | Unix.EPERM | Unix.EACCES | Unix.ENOSYS | Unix.EAFNOSUPPORT
+            | Unix.EPROTONOSUPPORT | Unix.EMFILE | Unix.ENFILE | Unix.EAGAIN
+            | Unix.ENOMEM ->
+              true
+            | _ -> false) ->
+    Format.eprintf
+      "live: socket transport unavailable on this host (%s: %s); skipping@."
+      fn (Unix.error_message e);
+    3
+  | exception Invalid_argument m ->
+    Format.eprintf "%s@." m;
+    1
+  | r -> k r
+
+(* [report_checks consistency atomicity] prints a sharded run's
+   atomicity verdict and returns whether both checks signed off. *)
+let report_checks consistency atomicity =
+  Option.iter (Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp) atomicity;
+  Ci_rsm.Consistency.ok consistency
+  && Option.fold ~none:true ~some:Ci_rsm.Atomicity.ok atomicity
+
+(* Options shared by the subcommands that run a deployment. *)
+let protocol_arg = Arg.(value & opt protocol_conv Protocol.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol: 1paxos, multipaxos, 2pc, mencius or cheappaxos.")
+let groups = Arg.(value & opt int 1 & info [ "g"; "groups" ] ~doc:"Consensus groups the keyspace is sharded over (1paxos or multipaxos), each with its own replicas plus a router; fault node indices range over $(b,groups * replicas) group-major replicas.")
+let cross_shard = Arg.(value & opt float 0. & info [ "cross-shard-ratio" ] ~doc:"Fraction of commands that are cross-shard multi-puts (2PC over the owning groups).")
+let metrics_out = Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write the run's metrics registry as a flat JSON object to $(docv).")
+
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  Format.printf "wrote %s@." path
+
 (* ----- run ---------------------------------------------------------------- *)
 
 let run_cmd =
-  let protocol =
-    Arg.(value & opt protocol_conv Protocol.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol: 1paxos, multipaxos, 2pc, mencius or cheappaxos.")
-  in
   let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica count (per group when $(b,--groups) > 1).") in
   let clients = Arg.(value & opt int 5 & info [ "c"; "clients" ] ~doc:"Client count (dedicated mode).") in
-  let groups = Arg.(value & opt int 1 & info [ "g"; "groups" ] ~doc:"Independent consensus groups the keyspace is sharded over (1paxos/multipaxos, dedicated mode).") in
-  let cross_shard = Arg.(value & opt float 0. & info [ "cross-shard-ratio" ] ~doc:"Fraction of commands that are cross-shard multi-puts (2PC over the owning groups).") in
   let joint = Arg.(value & flag & info [ "joint" ] ~doc:"Joint deployment: every node is replica and client; $(b,--replicas) sets the node count.") in
   let duration = Arg.(value & opt int 50 & info [ "d"; "duration-ms" ] ~doc:"Measurement window (ms).") in
   let warmup = Arg.(value & opt int 5 & info [ "warmup-ms" ] ~doc:"Warm-up before measuring (ms).") in
@@ -194,33 +243,10 @@ let run_cmd =
     let fmt_conv = Arg.enum [ ("chrome", `Chrome); ("jsonl", `Jsonl) ] in
     Arg.(value & opt fmt_conv `Chrome & info [ "trace-format" ] ~docv:"FMT" ~doc:"Trace format: $(b,chrome) (load in ui.perfetto.dev) or $(b,jsonl) (one JSON object per line).")
   in
-  let metrics_out = Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write the run's metrics registry as a flat JSON object to $(docv).") in
   let run protocol replicas clients groups cross_shard joint duration warmup
       seed read_ratio think timeout topology net relaxed local_reads colocate
       batch batch_delay pipeline coalesce slows timeline trace_out
       trace_format metrics_out =
-    let invalid fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; Some 1) fmt in
-    let bad =
-      if replicas < 1 then invalid "--replicas must be >= 1"
-      else if (not joint) && clients < 1 then invalid "--clients must be >= 1"
-      else if groups < 1 then invalid "--groups must be >= 1"
-      else if cross_shard < 0. || cross_shard > 1. then
-        invalid "--cross-shard-ratio must be in [0, 1]"
-      else if duration < 1 then invalid "--duration-ms must be >= 1"
-      else if warmup < 0 then invalid "--warmup-ms must be >= 0"
-      else if timeout < 1 then invalid "--timeout-us must be >= 1"
-      else if think < 0 then invalid "--think-us must be >= 0"
-      else if read_ratio < 0. || read_ratio > 1. then
-        invalid "--read-ratio must be in [0, 1]"
-      else if batch < 1 then invalid "--batch must be >= 1"
-      else if batch_delay < 0 then invalid "--batch-delay-us must be >= 0"
-      else if pipeline < 0 then invalid "--pipeline must be >= 0 (0 = unbounded)"
-      else if coalesce < 1 then invalid "--coalesce must be >= 1"
-      else None
-    in
-    match bad with
-    | Some code -> code
-    | None ->
     let placement =
       if joint then Runner.Joint { n_nodes = replicas }
       else Runner.Dedicated { n_replicas = replicas; n_clients = clients }
@@ -255,20 +281,11 @@ let run_cmd =
     in
     with_valid Runner.run spec @@ fun r ->
     Format.printf "%a@." Runner.pp_result r;
-    (match r.Runner.atomicity with
-     | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
-     | None -> ());
+    let ok = report_checks r.Runner.consistency r.Runner.atomicity in
     if timeline then begin
       Format.printf "timeline (op/s per 10ms bucket):@.";
       Array.iteri (fun i x -> Format.printf "  %4dms %10.0f@." (i * 10) x) r.Runner.timeline
     end;
-    let write_file path contents =
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents);
-      Format.printf "wrote %s@." path
-    in
     (match (trace_out, ring) with
      | Some path, Some ring ->
        let contents =
@@ -281,20 +298,14 @@ let run_cmd =
          Format.printf "note: ring capacity exceeded, %d oldest events dropped@."
            (Ci_obs.Event.dropped ring)
      | _ -> ());
-    (match metrics_out with
-     | Some path -> write_file path (Ci_obs.Metrics.to_json r.Runner.metrics)
-     | None -> ());
-    if
-      Ci_rsm.Consistency.ok r.Runner.consistency
-      && (match r.Runner.atomicity with
-         | Some a -> Ci_rsm.Atomicity.ok a
-         | None -> true)
-    then 0
-    else 1
+    Option.iter
+      (fun path -> write_file path (Ci_obs.Metrics.to_json r.Runner.metrics))
+      metrics_out;
+    if ok then 0 else 1
   in
   let term =
     Term.(
-      const run $ protocol $ replicas $ clients $ groups $ cross_shard $ joint
+      const run $ protocol_arg $ replicas $ clients $ groups $ cross_shard $ joint
       $ duration $ warmup $ seed $ read_ratio $ think $ timeout $ topology
       $ net $ relaxed $ local_reads $ colocate $ batch $ batch_delay
       $ pipeline $ coalesce $ slows $ timeline $ trace_out $ trace_format
@@ -305,26 +316,8 @@ let run_cmd =
 (* ----- live ---------------------------------------------------------------- *)
 
 let live_cmd =
-  let module Live = Ci_runtime.Live in
-  let protocol =
-    Arg.(value & opt protocol_conv Protocol.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol: onepaxos (1paxos) or multipaxos.")
-  in
-  let live_transport_conv =
-    let parse s =
-      match Live.transport_of_string s with
-      | Some t -> Ok t
-      | None -> Error (`Msg (Printf.sprintf "unknown transport %S (spsc|socket)" s))
-    in
-    let print fmt t = Format.pp_print_string fmt (Live.transport_name t) in
-    Arg.conv (parse, print)
-  in
-  let transport =
-    Arg.(value & opt live_transport_conv Live.Spsc & info [ "transport" ] ~doc:"Transport: $(b,spsc) (domains over shared-memory byte rings, the default) or $(b,socket) (one process per node over stream sockets).")
-  in
   let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica domains (per group when $(b,--groups) > 1).") in
   let clients = Arg.(value & opt int 2 & info [ "c"; "clients" ] ~doc:"Client domains.") in
-  let groups = Arg.(value & opt int 1 & info [ "g"; "groups" ] ~doc:"Independent consensus groups the keyspace is sharded over; each gets its own replica domains plus a router domain.") in
-  let cross_shard = Arg.(value & opt float 0. & info [ "cross-shard-ratio" ] ~doc:"Fraction of commands that are cross-shard multi-puts (2PC over the owning groups).") in
   let duration = Arg.(value & opt float 1.0 & info [ "d"; "duration-s" ] ~doc:"Measured wall-clock phase (seconds).") in
   let drain = Arg.(value & opt float 0.2 & info [ "drain-s" ] ~doc:"Quiesce phase before stopping the domains (seconds).") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed (per-node streams derive from it).") in
@@ -333,7 +326,6 @@ let live_cmd =
   let timeout = Arg.(value & opt int 150 & info [ "timeout-ms" ] ~doc:"Client retry timeout (ms). Keep generous on oversubscribed hosts.") in
   let read_ratio = Arg.(value & opt float 0. & info [ "read-ratio" ] ~doc:"Fraction of read commands.") in
   let think = Arg.(value & opt int 0 & info [ "think-us" ] ~doc:"Client think time between requests (us).") in
-  let metrics_out = Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write the run's metrics registry as a flat JSON object to $(docv).") in
   let run protocol transport replicas clients groups cross_shard duration drain
       seed slots slot_size timeout read_ratio think metrics_out =
     let spec =
@@ -354,23 +346,7 @@ let live_cmd =
         read_ratio;
       }
     in
-    match Live.run spec with
-    | exception Invalid_argument m ->
-      Format.eprintf "%s@." m;
-      1
-    | exception Unix.Unix_error (e, fn, _)
-      when transport = Live.Socket
-           && (match e with
-              | Unix.EPERM | Unix.EACCES | Unix.ENOSYS | Unix.EAFNOSUPPORT
-              | Unix.EPROTONOSUPPORT | Unix.EMFILE | Unix.ENFILE | Unix.EAGAIN
-              | Unix.ENOMEM ->
-                true
-              | _ -> false) ->
-      Format.eprintf
-        "live: socket transport unavailable on this host (%s: %s); skipping@."
-        fn (Unix.error_message e);
-      3
-    | r ->
+    with_live spec @@ fun r ->
     let n_routers = if groups = 1 then 0 else groups in
     Format.printf
       "live %s (%s): %d replica + %d router + %d client %s on %d cores@."
@@ -396,28 +372,15 @@ let live_cmd =
     Format.printf "  alloc %.0f words/op (replica+router domains)@."
       r.Live.alloc_words_per_op;
     Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
-    (match r.Live.atomicity with
-     | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
-     | None -> ());
-    (match metrics_out with
-     | Some path ->
-       let oc = open_out path in
-       Fun.protect
-         ~finally:(fun () -> close_out oc)
-         (fun () -> output_string oc (Ci_obs.Metrics.to_json r.Live.metrics));
-       Format.printf "wrote %s@." path
-     | None -> ());
-    if
-      Ci_rsm.Consistency.ok r.Live.consistency
-      && (match r.Live.atomicity with
-         | Some a -> Ci_rsm.Atomicity.ok a
-         | None -> true)
-    then 0
-    else 1
+    let ok = report_checks r.Live.consistency r.Live.atomicity in
+    Option.iter
+      (fun path -> write_file path (Ci_obs.Metrics.to_json r.Live.metrics))
+      metrics_out;
+    if ok then 0 else 1
   in
   let term =
     Term.(
-      const run $ protocol $ transport $ replicas $ clients $ groups
+      const run $ protocol_arg $ transport $ replicas $ clients $ groups
       $ cross_shard $ duration $ drain $ seed $ slots $ slot_size $ timeout
       $ read_ratio $ think $ metrics_out)
   in
@@ -429,14 +392,10 @@ let live_cmd =
 (* ----- load ----------------------------------------------------------------- *)
 
 let load_cmd =
-  let module Live = Ci_runtime.Live in
   let module LS = Ci_load.Load_stats in
   let backend_conv = Arg.enum [ ("sim", `Sim); ("live", `Live) ] in
   let backend =
-    Arg.(value & opt backend_conv `Sim & info [ "backend" ] ~doc:"Backend: $(b,sim) (discrete-event simulator, deterministic) or $(b,live) (OCaml 5 domains over shared-memory byte rings).")
-  in
-  let protocol =
-    Arg.(value & opt protocol_conv Protocol.Onepaxos & info [ "p"; "protocol" ] ~doc:"Protocol under load (any simulator protocol; $(b,--backend live) supports 1paxos and multipaxos).")
+    Arg.(value & opt backend_conv `Sim & info [ "backend" ] ~doc:"Backend: $(b,sim) (discrete-event simulator, deterministic) or $(b,live) (the live runtime, over $(b,--transport)).")
   in
   let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica count.") in
   let clients = Arg.(value & opt int 2 & info [ "c"; "clients" ] ~doc:"Driver count: one open-loop driver per client node; total offered load is $(b,--rate) times this.") in
@@ -479,7 +438,10 @@ let load_cmd =
   let duration = Arg.(value & opt int 50 & info [ "d"; "duration-ms" ] ~doc:"Measurement window (ms).") in
   let warmup = Arg.(value & opt int 5 & info [ "warmup-ms" ] ~doc:"Warm-up before measuring (ms; simulator backend only).") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed (arrival gaps and key draws derive from it).") in
-  let print_sink ~offered ~lease ~lease_reads (sink : LS.t) =
+  (* Print the pooled sink and the consistency verdict; exit 1 on a
+     violation or a stale session read. *)
+  let report ~offered ~lease ~lease_reads consistency load =
+    let sink = Option.get load in
     let us ns = float_of_int ns /. 1e3 in
     let lp = LS.latency_percentiles sink in
     let sp = LS.service_percentiles sink in
@@ -495,98 +457,73 @@ let load_cmd =
       (LS.retries sink) (LS.rejected sink) (LS.max_backlog sink)
       (LS.stale_reads sink);
     if lease > 0 then
-      Format.printf "  lease reads %d (leader-local, linearizable)@." lease_reads
+      Format.printf "  lease reads %d (leader-local, linearizable)@." lease_reads;
+    Format.printf "%a@." Ci_rsm.Consistency.pp consistency;
+    if Ci_rsm.Consistency.ok consistency && LS.stale_reads sink = 0 then 0 else 1
   in
-  let run backend protocol replicas clients rate poisson key_dist key_space
-      reads cas ranges range_span population sessions lease_us lease_skew_us
-      duration warmup seed =
-    let invalid fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; Some 1) fmt in
-    let bad =
-      if replicas < 2 then invalid "--replicas must be >= 2"
-      else if clients < 1 then invalid "--clients must be >= 1"
-      else if rate <= 0. then invalid "--rate must be > 0"
-      else if key_space < 1 then invalid "--key-space must be >= 1"
-      else if reads < 0. || cas < 0. || ranges < 0. || reads +. cas +. ranges > 1.
-      then invalid "--reads/--cas/--ranges must be >= 0 and sum to <= 1"
-      else if range_span < 1 then invalid "--range-span must be >= 1"
-      else if population < 1 then invalid "--population must be >= 1"
-      else if sessions < 1 then invalid "--sessions must be >= 1"
-      else if lease_us < 0 then invalid "--lease-us must be >= 0"
-      else if lease_us > 0 && lease_skew_us >= lease_us then
-        invalid "--lease-skew-us must be < --lease-us"
-      else if duration < 1 then invalid "--duration-ms must be >= 1"
-      else if warmup < 0 then invalid "--warmup-ms must be >= 0"
-      else None
+  let run backend transport protocol replicas clients rate poisson key_dist
+      key_space reads cas ranges range_span population sessions lease_us
+      lease_skew_us duration warmup seed =
+    let arrival =
+      if poisson then Ci_load.Arrival.Poisson rate else Ci_load.Arrival.Fixed rate
     in
-    match bad with
-    | Some code -> code
-    | None ->
-      let arrival =
-        if poisson then Ci_load.Arrival.Poisson rate else Ci_load.Arrival.Fixed rate
-      in
-      let open_loop =
-        {
-          Runner.arrival;
-          key_dist;
-          key_space;
-          mix = { Ci_load.Open_client.reads; cas; ranges };
-          range_span;
-          population;
-          sessions;
-        }
-      in
-      let offered = rate *. float_of_int clients in
-      (match backend with
-       | `Sim ->
-         let spec =
-           {
-             (Runner.default_spec ~protocol
-                ~placement:
-                  (Runner.Dedicated { n_replicas = replicas; n_clients = clients }))
-             with
-             Runner.duration = Sim_time.ms duration;
-             warmup = Sim_time.ms warmup;
-             seed;
-             lease = Sim_time.us lease_us;
-             lease_skew = Sim_time.us lease_skew_us;
-             open_loop = Some open_loop;
-           }
-         in
-         with_valid Runner.run spec @@ fun r ->
-         Format.printf "load %s (sim): %d replicas, %d drivers@."
-           (Protocol.to_string protocol) replicas clients;
-         let sink = Option.get r.Runner.load in
-         print_sink ~offered ~lease:lease_us ~lease_reads:r.Runner.lease_reads sink;
-         Format.printf "%a@." Ci_rsm.Consistency.pp r.Runner.consistency;
-         if Ci_rsm.Consistency.ok r.Runner.consistency && LS.stale_reads sink = 0
-         then 0
-         else 1
-       | `Live ->
-         let spec =
-           {
-             (Live.default_spec ~protocol) with
-             Live.n_replicas = replicas;
-             n_clients = clients;
-             duration_s = float_of_int duration /. 1000.;
-             seed;
-             lease = lease_us * 1_000;
-             lease_skew = lease_skew_us * 1_000;
-             open_loop = Some open_loop;
-           }
-         in
-         with_valid Live.run spec @@ fun r ->
-         Format.printf "load %s (live): %d replica + %d driver domains on %d cores@."
-           (Protocol.to_string protocol) replicas clients r.Live.cores;
-         let sink = Option.get r.Live.load in
-         print_sink ~offered ~lease:lease_us ~lease_reads:r.Live.lease_reads sink;
-         Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
-         if Ci_rsm.Consistency.ok r.Live.consistency && LS.stale_reads sink = 0
-         then 0
-         else 1)
+    let open_loop =
+      {
+        Runner.arrival;
+        key_dist;
+        key_space;
+        mix = { Ci_load.Open_client.reads; cas; ranges };
+        range_span;
+        population;
+        sessions;
+      }
+    in
+    let offered = rate *. float_of_int clients in
+    (match backend with
+     | `Sim ->
+       let spec =
+         {
+           (Runner.default_spec ~protocol
+              ~placement:
+                (Runner.Dedicated { n_replicas = replicas; n_clients = clients }))
+           with
+           Runner.duration = Sim_time.ms duration;
+           warmup = Sim_time.ms warmup;
+           seed;
+           lease = Sim_time.us lease_us;
+           lease_skew = Sim_time.us lease_skew_us;
+           open_loop = Some open_loop;
+         }
+       in
+       with_valid Runner.run spec @@ fun r ->
+       Format.printf "load %s (sim): %d replicas, %d drivers@."
+         (Protocol.to_string protocol) replicas clients;
+       report ~offered ~lease:lease_us ~lease_reads:r.Runner.lease_reads
+         r.Runner.consistency r.Runner.load
+     | `Live ->
+       let spec =
+         {
+           (Live.default_spec ~protocol) with
+           Live.n_replicas = replicas;
+           n_clients = clients;
+           duration_s = float_of_int duration /. 1000.;
+           transport;
+           seed;
+           lease = lease_us * 1_000;
+           lease_skew = lease_skew_us * 1_000;
+           open_loop = Some open_loop;
+         }
+       in
+       with_live spec @@ fun r ->
+       Format.printf "load %s (live, %s): %d replicas + %d drivers on %d cores@."
+         (Protocol.to_string protocol) (Live.transport_name transport) replicas
+         clients r.Live.cores;
+       report ~offered ~lease:lease_us ~lease_reads:r.Live.lease_reads
+         r.Live.consistency r.Live.load)
   in
   let term =
     Term.(
-      const run $ backend $ protocol $ replicas $ clients $ rate $ poisson
+      const run $ backend $ transport $ protocol_arg $ replicas $ clients $ rate $ poisson
       $ key_dist $ key_space $ reads $ cas $ ranges $ range_span $ population
       $ sessions $ lease_us $ lease_skew_us $ duration $ warmup $ seed)
   in
@@ -623,21 +560,12 @@ let nemesis_verdict ~consistent (failover : Ci_obs.Failover.t option) =
   else 0
 
 let nemesis_cmd =
-  let module Live = Ci_runtime.Live in
   let backend =
     Arg.(
       value
       & opt (enum [ ("sim", `Sim); ("live", `Live) ]) `Sim
       & info [ "backend" ]
-          ~doc:"Backend: $(b,sim) (virtual time) or $(b,live) (real domains).")
-  in
-  let protocol =
-    Arg.(
-      value & opt protocol_conv Protocol.Onepaxos
-      & info [ "p"; "protocol" ]
-          ~doc:
-            "Protocol: 1paxos, multipaxos, 2pc, mencius or cheappaxos \
-             ($(b,--backend live): 1paxos or multipaxos only).")
+          ~doc:"Backend: $(b,sim) (virtual time) or $(b,live) (the live runtime, over $(b,--transport)).")
   in
   let replicas =
     Arg.(
@@ -649,20 +577,6 @@ let nemesis_cmd =
     Arg.(
       value & opt (some int) None
       & info [ "c"; "clients" ] ~doc:"Client count (default: 5 sim, 2 live).")
-  in
-  let groups =
-    Arg.(
-      value & opt int 1
-      & info [ "g"; "groups" ]
-          ~doc:
-            "Consensus groups the keyspace is sharded over; fault node indices \
-             then range over $(b,groups * replicas) group-major replicas.")
-  in
-  let cross_shard =
-    Arg.(
-      value & opt float 0.
-      & info [ "cross-shard-ratio" ]
-          ~doc:"Fraction of commands that are cross-shard 2PC multi-puts.")
   in
   let duration =
     Arg.(
@@ -732,9 +646,8 @@ let nemesis_cmd =
       & info [ "slow-core" ] ~docv:"CORE:FROM_MS:UNTIL_MS:FACTOR"
           ~doc:"Slow a core by $(i,FACTOR) (simulator only). Repeatable.")
   in
-  let run backend protocol replicas clients groups cross_shard duration seed
-      scenario crashes pauses drops dups delays partitions slows =
-    let fail fmt = Format.kasprintf (fun m -> Format.eprintf "%s@." m; 1) fmt in
+  let run backend transport protocol replicas clients groups cross_shard
+      duration seed scenario crashes pauses drops dups delays partitions slows =
     let dur_ms =
       match duration with
       | Some d -> d
@@ -745,101 +658,80 @@ let nemesis_cmd =
       | Some c -> c
       | None -> (match backend with `Sim -> 5 | `Live -> 2)
     in
-    if replicas < 2 then fail "--replicas must be >= 2"
-    else if clients < 1 then fail "--clients must be >= 1"
-    else if groups < 1 then fail "--groups must be >= 1"
-    else if cross_shard < 0. || cross_shard > 1. then
-      fail "--cross-shard-ratio must be in [0, 1]"
-    else if dur_ms < 1 then fail "--duration-ms must be >= 1"
-    else begin
-      let scen =
-        match scenario with
-        | None -> []
-        | Some which ->
-          let node = match which with `Acceptor -> 1 | `Leader -> 0 in
-          [
-            Ci_faults.Crash
-              {
-                node;
-                at = Sim_time.ms (dur_ms * 2 / 5);
-                down_for = Some (Sim_time.ms (max 1 (dur_ms * 3 / 10)));
-              };
-          ]
-      in
-      let faults =
-        scen @ crashes @ pauses @ drops @ dups @ delays @ partitions @ slows
-      in
-      let sched = { Ci_faults.seed; faults } in
-      if faults = [] then
-        fail
-          "empty fault schedule: pass --scenario or at least one of \
-           --crash/--pause/--drop/--duplicate/--delay/--partition/--slow-core"
-      else
-        match Ci_faults.validate ~n_nodes:(groups * replicas) sched with
-        | Error m -> fail "invalid fault schedule: %s" m
-        | Ok () ->
-          (match backend with
-           | `Sim ->
-             let spec =
-               {
-                 (Runner.default_spec ~protocol
-                    ~placement:
-                      (Runner.Dedicated { n_replicas = replicas; n_clients = clients }))
-                 with
-                 Runner.duration = Sim_time.ms dur_ms;
-                 seed;
-                 groups;
-                 cross_shard_ratio = cross_shard;
-                 nemesis = sched;
-               }
-             in
-             with_valid Runner.run spec @@ fun r ->
-             Format.printf "%a@." Runner.pp_result r;
-             (match r.Runner.atomicity with
-              | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
-              | None -> ());
-             nemesis_verdict
-               ~consistent:
-                 (Ci_rsm.Consistency.ok r.Runner.consistency
-                 && (match r.Runner.atomicity with
-                    | Some a -> Ci_rsm.Atomicity.ok a
-                    | None -> true))
-               r.Runner.failover
-           | `Live ->
-             let spec =
-               {
-                 (Live.default_spec ~protocol) with
-                 Live.n_replicas = replicas;
-                 n_clients = clients;
-                 groups;
-                 cross_shard_ratio = cross_shard;
-                 duration_s = float_of_int dur_ms /. 1000.;
-                 seed;
-                 nemesis = sched;
-               }
-             in
-             with_valid Live.run spec @@ fun r ->
-             Format.printf
-               "live %s: %d ops, %.0f op/s, retries %d, leader-changes %d, \
-                acceptor-changes %d@."
-               (Protocol.to_string protocol) r.Live.ops r.Live.throughput
-               r.Live.retries r.Live.leader_changes r.Live.acceptor_changes;
-             Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
-             (match r.Live.atomicity with
-              | Some a -> Format.printf "atomicity: %a@." Ci_rsm.Atomicity.pp a
-              | None -> ());
-             nemesis_verdict
-               ~consistent:
-                 (Ci_rsm.Consistency.ok r.Live.consistency
-                 && (match r.Live.atomicity with
-                    | Some a -> Ci_rsm.Atomicity.ok a
-                    | None -> true))
-               r.Live.failover)
+    let scen =
+      match scenario with
+      | None -> []
+      | Some which ->
+        let node = match which with `Acceptor -> 1 | `Leader -> 0 in
+        [
+          Ci_faults.Crash
+            {
+              node;
+              at = Sim_time.ms (dur_ms * 2 / 5);
+              down_for = Some (Sim_time.ms (max 1 (dur_ms * 3 / 10)));
+            };
+        ]
+    in
+    let faults =
+      scen @ crashes @ pauses @ drops @ dups @ delays @ partitions @ slows
+    in
+    let sched = { Ci_faults.seed; faults } in
+    if faults = [] then begin
+      Format.eprintf
+        "empty fault schedule: pass --scenario or at least one of \
+         --crash/--pause/--drop/--duplicate/--delay/--partition/--slow-core@.";
+      1
     end
+    else
+      match backend with
+      | `Sim ->
+        let spec =
+          {
+            (Runner.default_spec ~protocol
+               ~placement:
+                 (Runner.Dedicated { n_replicas = replicas; n_clients = clients }))
+            with
+            Runner.duration = Sim_time.ms dur_ms;
+            seed;
+            groups;
+            cross_shard_ratio = cross_shard;
+            nemesis = sched;
+          }
+        in
+        with_valid Runner.run spec @@ fun r ->
+        Format.printf "%a@." Runner.pp_result r;
+        nemesis_verdict
+          ~consistent:(report_checks r.Runner.consistency r.Runner.atomicity)
+          r.Runner.failover
+      | `Live ->
+        let spec =
+          {
+            (Live.default_spec ~protocol) with
+            Live.n_replicas = replicas;
+            n_clients = clients;
+            groups;
+            cross_shard_ratio = cross_shard;
+            duration_s = float_of_int dur_ms /. 1000.;
+            transport;
+            seed;
+            nemesis = sched;
+          }
+        in
+        with_live spec @@ fun r ->
+        Format.printf
+          "live %s (%s): %d ops, %.0f op/s, retries %d, leader-changes %d, \
+           acceptor-changes %d@."
+          (Protocol.to_string protocol) (Live.transport_name transport)
+          r.Live.ops r.Live.throughput r.Live.retries r.Live.leader_changes
+          r.Live.acceptor_changes;
+        Format.printf "%a@." Ci_rsm.Consistency.pp r.Live.consistency;
+        nemesis_verdict
+          ~consistent:(report_checks r.Live.consistency r.Live.atomicity)
+          r.Live.failover
   in
   let term =
     Term.(
-      const run $ backend $ protocol $ replicas $ clients $ groups
+      const run $ backend $ transport $ protocol_arg $ replicas $ clients $ groups
       $ cross_shard $ duration $ seed $ scenario $ crashes $ pauses $ drops
       $ dups $ delays $ partitions $ slows)
   in
@@ -857,7 +749,6 @@ let nemesis_cmd =
 (* Live-backend twin of [E.failover]: the same crash-restart schedule on
    real domains, with wall-clock 100 ms buckets. *)
 let live_failover_timelines () =
-  let module Live = Ci_runtime.Live in
   let base =
     {
       (Live.default_spec ~protocol:Live.Onepaxos) with
@@ -1029,12 +920,6 @@ let figures_cmd =
 let explore_cmd =
   let module Trace = Ci_explore.Trace in
   let module Search = Ci_explore.Search in
-  let protocol =
-    Arg.(
-      value & opt protocol_conv Protocol.Onepaxos
-      & info [ "p"; "protocol" ]
-          ~doc:"Protocol to check: 1paxos, multipaxos, 2pc, mencius or cheappaxos.")
-  in
   let replicas =
     Arg.(value & opt int 3 & info [ "replicas" ] ~doc:"Replica count (2-7).")
   in
@@ -1098,12 +983,6 @@ let explore_cmd =
           ~doc:
             "Replay a trace written by $(b,--trace-out) instead of exploring; \
              all bound/config flags are ignored (the trace header wins).")
-  in
-  let write_file path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc;
-    Format.printf "wrote %s@." path
   in
   let events_sidecar events_out cfg choices =
     match events_out with
@@ -1204,7 +1083,7 @@ let explore_cmd =
   in
   let term =
     Term.(
-      const run $ protocol $ replicas $ clients $ commands $ seed $ drops
+      const run $ protocol_arg $ replicas $ clients $ commands $ seed $ drops
       $ crashes $ fires $ max_depth $ max_states $ stale_adoption $ trace_out
       $ events_out $ replay_file)
   in

@@ -22,6 +22,8 @@ let of_string = function
 let leaderless = function Mencius -> true | _ -> false
 let client_failover = function Twopc -> false | _ -> true
 let shardable = function Onepaxos | Multipaxos -> true | _ -> false
+let leases = function Onepaxos | Multipaxos -> true | _ -> false
+let recoverable = function Onepaxos | Multipaxos -> true | _ -> false
 
 (* 1Paxos counts applied LeaderChange entries and Cheap Paxos applied
    epochs: every replica applies the same configuration log, so the
@@ -170,7 +172,7 @@ let basic ~handle ~core ~digest =
   }
 
 let create name k ~replicas env =
-  if k.lease > 0 && not (name = Onepaxos || name = Multipaxos) then
+  if k.lease > 0 && not (leases name) then
     invalid_arg
       (Printf.sprintf
          "Protocol.create: leader leases require 1paxos or multipaxos (got %s)"

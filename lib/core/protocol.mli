@@ -39,6 +39,14 @@ val shardable : name -> bool
     front of each group's entry replica) runs this protocol: 1Paxos and
     Multi-Paxos. *)
 
+val leases : name -> bool
+(** Whether the protocol has leader leases ({!knobs.lease} > 0): 1Paxos
+    and Multi-Paxos. *)
+
+val recoverable : name -> bool
+(** Whether {!create}'s replica has a {!replica.crash}, so crash and
+    pause faults can be injected: 1Paxos and Multi-Paxos. *)
+
 val total_leader_changes : name -> int array -> int
 (** [total_leader_changes name counts] aggregates the per-replica
     {!replica.leader_changes} counters of one deployment into the run's

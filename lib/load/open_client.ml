@@ -51,7 +51,7 @@ let validate_config cfg =
     m.reads < 0. || m.cas < 0. || m.ranges < 0.
     || m.reads +. m.cas +. m.ranges > 1. +. 1e-9
   then invalid_arg "Open_client: mix fractions must be >= 0 and sum <= 1";
-  if m.ranges > 0. && cfg.range_span < 1 then
+  if cfg.range_span < 1 then
     invalid_arg "Open_client: range_span must be >= 1";
   Arrival.validate cfg.arrival;
   Key_dist.validate cfg.key_dist ~key_space:cfg.key_space

@@ -2,17 +2,13 @@ module Wire = Ci_consensus.Wire
 module Node_env = Ci_engine.Node_env
 module Sim_time = Ci_engine.Sim_time
 module Rng = Ci_engine.Rng
-module Command = Ci_rsm.Command
 module Consistency = Ci_rsm.Consistency
-module Replica_core = Ci_consensus.Replica_core
 module Protocol = Ci_consensus.Protocol
 module Client = Ci_workload.Client
+module Deployment = Ci_workload.Deployment
 module Run_stats = Ci_workload.Run_stats
-module Run_check = Ci_workload.Run_check
 module Metrics = Ci_obs.Metrics
 module Summary = Ci_stats.Summary
-module Shard = Ci_consensus.Shard
-module Twopc = Ci_consensus.Twopc
 module Atomicity = Ci_rsm.Atomicity
 
 type protocol = Protocol.name =
@@ -156,18 +152,51 @@ type node_state = {
          by the domain itself just before it exits *)
 }
 
+
+let ms = Sim_time.ms
+
+(* Failure-detection timeouts are wall-clock here: commits take
+   microseconds, so a 50 ms round-trip budget fires only when something
+   is genuinely wedged — never because a GC pause or a scheduling gap
+   delayed one reply. *)
+let knobs spec =
+  {
+    Protocol.default_knobs with
+    rtt = ms 50;
+    lease = spec.lease;
+    lease_skew = spec.lease_skew;
+  }
+
+let duration_ns spec = int_of_float (spec.duration_s *. 1e9)
+
+(* The system under test, whichever transport carries it: client
+   domains (or processes) each own their sinks, measured over the whole
+   measured phase. *)
+let config spec =
+  {
+    Deployment.protocol = spec.protocol;
+    knobs = knobs spec;
+    groups = spec.groups;
+    replicas = spec.n_replicas;
+    clients = spec.n_clients;
+    joint = false;
+    policy =
+      {
+        (Client.default_policy ~targets:[||]) with
+        Client.timeout = spec.client_timeout;
+        think = spec.think;
+        read_ratio = spec.read_ratio;
+        cross_shard_ratio = spec.cross_shard_ratio;
+        key_space = spec.key_space;
+      };
+    open_loop = spec.open_loop;
+    window = (0, duration_ns spec);
+    bucket = ms 10;
+    shared_sinks = false;
+  }
+
 let validate spec =
-  (match spec.protocol with
-  | Onepaxos | Multipaxos -> ()
-  | Twopc | Mencius | Cheappaxos ->
-    invalid_arg
-      (Printf.sprintf "Live.run: live runs 1paxos and multipaxos only (got %s)"
-         (Protocol.to_string spec.protocol)));
   if spec.n_replicas < 2 then invalid_arg "Live.run: need >= 2 replicas";
-  if spec.n_clients < 1 then invalid_arg "Live.run: need >= 1 client";
-  if spec.groups < 1 then invalid_arg "Live.run: groups must be >= 1";
-  if not (spec.cross_shard_ratio >= 0. && spec.cross_shard_ratio <= 1.) then
-    invalid_arg "Live.run: cross_shard_ratio must be in [0, 1]";
   if spec.duration_s <= 0. then invalid_arg "Live.run: duration_s must be > 0";
   if spec.drain_s < 0. then invalid_arg "Live.run: drain_s must be >= 0";
   if spec.queue_slots < 1 then invalid_arg "Live.run: queue_slots must be >= 1";
@@ -178,28 +207,8 @@ let validate spec =
     invalid_arg
       (Printf.sprintf "Live.run: slot_size must be a power of two >= %d"
          Spsc_bytes.min_slot_size);
-  if spec.client_timeout <= 0 then
-    invalid_arg "Live.run: client_timeout must be > 0";
-  if spec.think < 0 then invalid_arg "Live.run: think must be >= 0";
-  if not (spec.read_ratio >= 0. && spec.read_ratio <= 1.) then
-    invalid_arg "Live.run: read_ratio must be in [0, 1]";
-  if spec.key_space < 1 then invalid_arg "Live.run: key_space must be >= 1";
   if spec.outbox_cap < 1 then invalid_arg "Live.run: outbox_cap must be >= 1";
-  if spec.lease < 0 then invalid_arg "Live.run: lease must be >= 0";
-  if spec.lease > 0 && spec.lease_skew >= spec.lease then
-    invalid_arg "Live.run: lease_skew must be < lease";
-  if spec.transport = Socket then begin
-    if spec.groups > 1 then
-      invalid_arg "Live.run: the socket transport does not shard yet (groups must be 1)";
-    if not (Ci_faults.is_empty spec.nemesis) then
-      invalid_arg
-        "Live.run: nemesis is in-process only; the socket transport gets its \
-         faults from the operating system";
-    if spec.open_loop <> None then
-      invalid_arg
-        "Live.run: the open-loop driver is in-process only (socket children \
-         run closed-loop clients)"
-  end;
+  Deployment.validate ~who:"Live.run" ~nemesis:spec.nemesis (config spec);
   if not (Ci_faults.is_empty spec.nemesis) then begin
     (match
        Ci_faults.validate ~n_nodes:(spec.groups * spec.n_replicas) spec.nemesis
@@ -348,290 +357,242 @@ let event_loop ?ctl st ~t0 ~stop ~m_work =
       end
   done
 
-let ms = Sim_time.ms
+(* Sender-side link rules of node [src], indexed by destination; [None]
+   when the schedule has none from [src], so the fault-free send path
+   stays untouched. *)
+let link_rules spec ~n src =
+  let mine =
+    List.filter (fun r -> r.Ci_faults.l_src = src) (Ci_faults.link_rules spec.nemesis)
+  in
+  if mine = [] then None
+  else begin
+    let per_dst = Array.make n [] in
+    List.iter
+      (fun r -> per_dst.(r.Ci_faults.l_dst) <- r :: per_dst.(r.Ci_faults.l_dst))
+      mine;
+    Array.map_inplace List.rev per_dst;
+    Some per_dst
+  end
 
-(* Failure-detection timeouts are wall-clock here: commits take
-   microseconds, so a 50 ms round-trip budget fires only when something
-   is genuinely wedged — never because a GC pause or a scheduling gap
-   delayed one reply. *)
-let knobs spec =
-  {
-    Protocol.default_knobs with
-    rtt = ms 50;
-    lease = spec.lease;
-    lease_skew = spec.lease_skew;
-  }
-
-let fresh_state ~id ~tr ~nem_links ~nem_seed =
+let node_state spec ~n ~id ~tr =
   {
     id;
     tr;
     selfq = Queue.create ();
     timers = Timer_wheel.create ();
     handler = (fun ~src:_ _ -> ());
-    nem_links;
-    nem_rng = Rng.create ~seed:nem_seed;
+    nem_links = link_rules spec ~n id;
+    nem_rng = Rng.create ~seed:(spec.nemesis.Ci_faults.seed + (id * 7919));
     nem = None;
     n_fault_dropped = 0;
     n_fault_duplicated = 0;
     alloc_bytes = 0.;
   }
 
-(* Publish the endpoint-side counters under the metric keys both
-   backends share; [full_by_kind] answers "which message kind hit the
-   full ring" without a perf run. *)
-let record_ring_metrics metrics states =
+(* Node [i]'s crash/pause timeline. The closures run inside the node's
+   own event loop (step 0), so crash, recovery and message processing
+   never race. *)
+let attach_nemesis spec d st ~env =
+  let mine = ref [] in
+  let add t tr = mine := (t, tr) :: !mine in
+  List.iter
+    (fun c ->
+      if c.Ci_faults.c_node = st.id then begin
+        add c.Ci_faults.c_at `Crash;
+        Option.iter (fun down -> add (c.Ci_faults.c_at + down) `Restart) c.c_restart
+      end)
+    (Ci_faults.crashes spec.nemesis);
+  List.iter
+    (fun p ->
+      if p.Ci_faults.p_node = st.id then begin
+        add p.Ci_faults.p_from `Pause;
+        add p.Ci_faults.p_until `Resume
+      end)
+    (Ci_faults.pauses spec.nemesis);
+  if !mine <> [] then begin
+    let restart = ref None in
+    let on_crash () =
+      (* The durable registers survive (modeled fsync); the mailbox,
+         parked sends, armed timers and the handler die with the
+         process. *)
+      restart := Deployment.crash d st.id;
+      Queue.clear st.selfq;
+      Transport.clear_outboxes st.tr;
+      st.timers <- Timer_wheel.create ();
+      st.handler <- (fun ~src:_ _ -> ())
+    in
+    let on_restart () =
+      st.timers <- Timer_wheel.create ();
+      Option.iter (fun restart -> restart (env st.id)) !restart
+    in
+    st.nem <-
+      Some { transitions = List.sort compare !mine; mode = Up; on_crash; on_restart }
+  end
+
+(* Build the deployment's roles on [state i]'s node (every node, or
+   only [node]) and attach each built node's nemesis. Quiesced client
+   nodes stop consuming replies, so they issue nothing new and record
+   nothing outside the measured phase. *)
+let deploy ?node spec ~state ~t0 ~quiesce =
+  let cfg = config spec in
+  let base = Deployment.client_base cfg in
+  let env i = env_for (state i) ~t0 ~seed:(spec.seed + ((i + 1) * 1_000_003)) in
+  let install i h =
+    (state i).handler <-
+      (if i < base then h
+       else fun ~src msg -> if not (Atomic.get quiesce) then h ~src msg)
+  in
+  let d = Deployment.build ?node cfg ~env ~install in
+  for i = 0 to Deployment.n_nodes cfg - 1 do
+    if node = None || node = Some i then attach_nemesis spec d (state i) ~env
+  done;
+  d
+
+(* What one node reports after its event loop stops: the deployment's
+   view of it plus its endpoint's counters. A socket child sends it
+   back through [Marshal]; the replica view carries the decided log,
+   whose equality function is a closure, and children are forks of the
+   parent's executable, so [Marshal.Closures] round-trips it. *)
+type node_report = {
+  dep : Deployment.report;
+  events : int;
+  blocked : int;
+  outbox_dropped : int;
+  outbox_peak : int;
+  sent : int;
+  full_kinds : (string * int) list;
+  alloc_bytes : float;
+  fault_dropped : int;
+  fault_duplicated : int;
+}
+
+let node_report st dep ~events =
+  {
+    dep;
+    events;
+    blocked = Transport.blocked st.tr;
+    outbox_dropped = Transport.outbox_dropped st.tr;
+    outbox_peak = Transport.outbox_peak st.tr;
+    sent = Transport.sent st.tr;
+    full_kinds = Transport.full_by_kind st.tr;
+    alloc_bytes = st.alloc_bytes;
+    fault_dropped = st.n_fault_dropped;
+    fault_duplicated = st.n_fault_duplicated;
+  }
+
+(* The result of either transport, from its nodes' reports.
+   [links] is (queue count, messages carried, ring occupancy peak). *)
+let finish spec ~t_quiesce ~links:(q_count, q_msgs, q_occupancy_peak) ?jumbo
+    (nodes : node_report array) =
+  let cfg = config spec in
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 nodes in
+  let peak f = Array.fold_left (fun acc r -> max acc (f r)) 0 nodes in
+  let metrics = Metrics.create () in
+  Metrics.add (Metrics.counter metrics "live.events") (sum (fun r -> r.events));
+  let o =
+    Deployment.assemble cfg ~nemesis:spec.nemesis ~prefix:"live." ~metrics
+      ~until_:t_quiesce
+      ~faults:(sum (fun r -> r.fault_dropped), sum (fun r -> r.fault_duplicated))
+      (Array.to_list (Array.map (fun r -> r.dep) nodes))
+  in
+  let ops =
+    Run_stats.completed_in o.Deployment.stats ~from_:0 ~until_:t_quiesce
+    + Option.fold ~none:0 ~some:Ci_load.Load_stats.completed o.Deployment.load
+  in
+  (* [full_by_kind] answers "which message kind hit the full ring"
+     without a perf run. *)
   let full_kinds = Hashtbl.create 8 in
-  Array.iter
-    (fun st ->
-      Metrics.set_int metrics
-        (Printf.sprintf "live.node%d.full_ring_sends" st.id)
-        (Transport.blocked st.tr);
+  Array.iteri
+    (fun i r ->
+      Metrics.set_int metrics (Printf.sprintf "live.node%d.full_ring_sends" i) r.blocked;
       List.iter
         (fun (k, c) ->
           Hashtbl.replace full_kinds k
             (c + Option.value (Hashtbl.find_opt full_kinds k) ~default:0))
-        (Transport.full_by_kind st.tr))
-    states;
+        r.full_kinds)
+    nodes;
   Hashtbl.iter
     (fun k c -> Metrics.set_int metrics ("live.ring.full." ^ k) c)
-    full_kinds
+    full_kinds;
+  Option.iter (Metrics.set_int metrics "live.queue.jumbo") jumbo;
+  (* Allocation accounting covers the protocol-side nodes (replicas and
+     routers): the event-loop hot path the Gc guard pins. *)
+  let alloc_words_per_op =
+    let bytes = ref 0. in
+    for i = 0 to Deployment.client_base cfg - 1 do
+      bytes := !bytes +. nodes.(i).alloc_bytes
+    done;
+    let words = !bytes /. float_of_int (Sys.word_size / 8) in
+    if ops > 0 then words /. float_of_int ops else 0.
+  in
+  let queues =
+    {
+      q_count;
+      q_msgs;
+      q_blocked = sum (fun r -> r.blocked);
+      q_occupancy_peak;
+      q_outbox_peak = peak (fun r -> r.outbox_peak);
+      q_outbox_dropped = sum (fun r -> r.outbox_dropped);
+    }
+  in
+  Metrics.set_float metrics "live.alloc.words_per_op" alloc_words_per_op;
+  Metrics.set_int metrics "live.ops" ops;
+  Metrics.set_int metrics "live.retries" o.Deployment.retries;
+  Metrics.set_int metrics "live.queue.msgs" queues.q_msgs;
+  Metrics.set_int metrics "live.queue.blocked" queues.q_blocked;
+  Metrics.set_int metrics "live.queue.occupancy_peak" queues.q_occupancy_peak;
+  Metrics.set_int metrics "live.queue.outbox_peak" queues.q_outbox_peak;
+  Metrics.set_int metrics "live.queue.outbox_dropped" queues.q_outbox_dropped;
+  let wall_s = float_of_int t_quiesce /. 1e9 in
+  {
+    spec;
+    cores = Domain.recommended_domain_count ();
+    wall_s;
+    ops;
+    throughput = (if wall_s > 0. then float_of_int ops /. wall_s else 0.);
+    latency =
+      Summary.of_samples
+        (Run_stats.latencies_in o.Deployment.stats ~from_:0 ~until_:t_quiesce);
+    retries = o.Deployment.retries;
+    leader_changes = o.Deployment.leader_changes;
+    acceptor_changes = o.Deployment.acceptor_changes;
+    retained = o.Deployment.retained;
+    timeline = o.Deployment.timeline;
+    queues;
+    full_ring_sends = Array.map (fun r -> r.blocked) nodes;
+    alloc_words_per_op;
+    lease_reads = o.Deployment.lease_reads;
+    load = o.Deployment.load;
+    consistency = o.Deployment.consistency;
+    atomicity = o.Deployment.atomicity;
+    metrics;
+    failover = o.Deployment.failover;
+  }
 
-(* ---------- in-process runner: domains over byte rings ---------- *)
+(* ---------- in-process transport: domains over byte rings ---------- *)
 
 let run_inproc spec =
-  let n_replicas = spec.n_replicas and n_clients = spec.n_clients in
-  (* Group-major node layout, like the sim runner: replicas of group g
-     are nodes [g*R .. (g+1)*R-1], routers (sharded runs only) come
-     next, clients last. *)
-  let n_groups = spec.groups in
-  let total_replicas = n_groups * n_replicas in
-  let n_routers = if n_groups = 1 then 0 else n_groups in
-  let client_base = total_replicas + n_routers in
-  let n = client_base + n_clients in
-  let replica_ids = Array.init total_replicas Fun.id in
-  let router_ids = Array.init n_routers (fun j -> total_replicas + j) in
-  let group_ids g = Array.sub replica_ids (g * n_replicas) n_replicas in
-  let group_of_replica i = i / n_replicas in
+  let n = Deployment.n_nodes (config spec) in
   (* The mesh: mesh.(dst).(src) carries src -> dst as encoded bytes. *)
   let mesh =
     Transport.rings_mesh ~n ~slots:spec.queue_slots ~slot_size:spec.slot_size
   in
-  (* Sender-side link rules, per source node. [None] for every node
-     when the schedule carries none — the fault-free send path stays
-     untouched. *)
-  let link_rules_of =
-    let all = Ci_faults.link_rules spec.nemesis in
-    fun src ->
-      if List.for_all (fun r -> r.Ci_faults.l_src <> src) all then None
-      else begin
-        let per_dst = Array.make n [] in
-        List.iter
-          (fun r ->
-            if r.Ci_faults.l_src = src then
-              per_dst.(r.Ci_faults.l_dst) <- r :: per_dst.(r.Ci_faults.l_dst))
-          all;
-        Array.map_inplace List.rev per_dst;
-        Some per_dst
-      end
-  in
   let states =
     Array.init n (fun id ->
-        fresh_state ~id
-          ~tr:(Transport.rings_endpoint mesh ~id ~outbox_cap:spec.outbox_cap)
-          ~nem_links:(link_rules_of id)
-          ~nem_seed:(spec.nemesis.Ci_faults.seed + (id * 7919)))
+        node_state spec ~n ~id
+          ~tr:(Transport.rings_endpoint mesh ~id ~outbox_cap:spec.outbox_cap))
   in
-  let metrics = Metrics.create () in
-  (* Registered before the spawns; incremented from every domain. *)
-  let m_work = Metrics.counter metrics "live.events" in
   let t0 = Clock.now_ns () in
   let stop = Atomic.make false in
   let quiesce = Atomic.make false in
-  let env_of id = env_for states.(id) ~t0 ~seed:(spec.seed + ((id + 1) * 1_000_003)) in
-  let knobs = knobs spec in
-  let replicas =
-    Array.init total_replicas (fun i ->
-        Protocol.create spec.protocol knobs
-          ~replicas:(group_ids (group_of_replica i))
-          (env_of i))
-  in
-  (* Sharded runs put a 2PC participant in front of each group's entry
-     replica — same wrapping as the sim runner; everything the
-     participant does not consume falls through to the replica. *)
-  let participants =
-    Array.init
-      (if n_groups = 1 then 0 else n_groups)
-      (fun g -> Twopc.Participant.create ~env:(env_of (g * n_replicas)))
-  in
-  let wrap_handler i h =
-    if n_groups > 1 && i mod n_replicas = 0 then begin
-      let p = participants.(group_of_replica i) in
-      fun ~src msg -> if Twopc.Participant.handle p ~src msg then () else h ~src msg
-    end
-    else h
-  in
-  Array.iteri
-    (fun i r -> states.(i).handler <- wrap_handler i r.Protocol.handle)
-    replicas;
-  (* Routers: hash single-shard commands to their group's entry replica,
-     run cross-shard multi-puts as 2PC transactions. *)
-  let routers =
-    Array.init n_routers (fun j ->
-        let config =
-          {
-            Shard.Router.groups = n_groups;
-            leader_of = Array.init n_groups (fun g -> g * n_replicas);
-            retry_timeout = spec.client_timeout;
-          }
-        in
-        let r =
-          Shard.Router.create ~env:(env_of (total_replicas + j)) ~config
-        in
-        states.(total_replicas + j).handler <-
-          (fun ~src msg -> Shard.Router.handle r ~src msg);
-        r)
-  in
-  (* Nemesis crash/pause timelines, attached per affected replica. The
-     closures run inside the replica's own domain (step 0 of its event
-     loop); [replicas.(i)] rewritten by a restart is read by the main
-     domain only after the joins. *)
-  if not (Ci_faults.is_empty spec.nemesis) then begin
-    let per_node = Hashtbl.create 4 in
-    let add node t tr =
-      Hashtbl.replace per_node node
-        ((t, tr) :: Option.value (Hashtbl.find_opt per_node node) ~default:[])
-    in
-    List.iter
-      (fun c ->
-        add c.Ci_faults.c_node c.Ci_faults.c_at `Crash;
-        Option.iter
-          (fun d -> add c.c_node (c.c_at + d) `Restart)
-          c.Ci_faults.c_restart)
-      (Ci_faults.crashes spec.nemesis);
-    List.iter
-      (fun p ->
-        add p.Ci_faults.p_node p.Ci_faults.p_from `Pause;
-        add p.p_node p.Ci_faults.p_until `Resume)
-      (Ci_faults.pauses spec.nemesis);
-    Hashtbl.iter
-      (fun i trs ->
-        let st = states.(i) in
-        let restart = ref None in
-        let on_crash () =
-          (* The durable registers survive (modeled fsync); the mailbox,
-             parked sends, armed timers and the handler die with the
-             process. *)
-          restart := Option.map (fun capture -> capture ()) replicas.(i).Protocol.crash;
-          Queue.clear st.selfq;
-          Transport.clear_outboxes st.tr;
-          st.timers <- Timer_wheel.create ();
-          st.handler <- (fun ~src:_ _ -> ())
-        in
-        let on_restart () =
-          st.timers <- Timer_wheel.create ();
-          Option.iter
-            (fun restart ->
-              let r = restart (env_of i) in
-              replicas.(i) <- r;
-              st.handler <- wrap_handler i r.Protocol.handle)
-            !restart
-        in
-        st.nem <-
-          Some
-            { transitions = List.sort compare trs; mode = Up; on_crash; on_restart })
-      per_node
-  end;
-  let client_stats =
-    Array.init n_clients (fun _ -> Run_stats.create ~bucket:(ms 10))
-  in
-  let policy =
-    {
-      (Client.default_policy
-         ~targets:(if n_routers = 0 then replica_ids else router_ids))
-      with
-      Client.timeout = spec.client_timeout;
-      think = spec.think;
-      read_ratio = spec.read_ratio;
-      cross_shard_ratio = spec.cross_shard_ratio;
-      groups = n_groups;
-      key_space = spec.key_space;
-    }
-  in
-  let clients =
-    if spec.open_loop <> None then [||]
-    else
-      Array.init n_clients (fun i ->
-          let policy =
-            if n_routers > 0 then
-              { policy with Client.primary = i mod n_routers }
-            else policy
-          in
-          Client.create ~env:(env_of (client_base + i)) ~policy
-            ~stats:client_stats.(i))
-  in
-  (* Open-loop drivers: one per client node, each with its own sink
-     (each runs in its own domain; the sinks are merged after the
-     joins). The measurement window is the whole measured phase. *)
-  let duration_ns = int_of_float (spec.duration_s *. 1e9) in
-  let load_sinks, drivers =
-    match spec.open_loop with
-    | None -> ([||], [||])
-    | Some ol ->
-      let sinks =
-        Array.init n_clients (fun _ ->
-            Ci_load.Load_stats.create ~from_:0 ~until_:duration_ns)
-      in
-      let drivers =
-        Array.init n_clients (fun i ->
-            let config =
-              {
-                Ci_load.Open_client.targets =
-                  (if n_routers = 0 then replica_ids else router_ids);
-                primary = (if n_routers > 0 then i mod n_routers else 0);
-                failover = true;
-                timeout = spec.client_timeout;
-                arrival = ol.Ci_workload.Runner.arrival;
-                key_dist = ol.Ci_workload.Runner.key_dist;
-                key_space = ol.Ci_workload.Runner.key_space;
-                mix = ol.Ci_workload.Runner.mix;
-                range_span = ol.Ci_workload.Runner.range_span;
-                population = ol.Ci_workload.Runner.population;
-                sessions = ol.Ci_workload.Runner.sessions;
-                relaxed_reads = false;
-                stop_at = duration_ns;
-              }
-            in
-            Ci_load.Open_client.create
-              ~env:(env_of (client_base + i))
-              ~config ~stats:sinks.(i))
-      in
-      (sinks, drivers)
-  in
-  Array.iteri
-    (fun i c ->
-      (* Quiesced clients stop consuming replies, so they issue nothing
-         new and record nothing outside the measured phase. *)
-      states.(client_base + i).handler <-
-        (fun ~src msg ->
-          if not (Atomic.get quiesce) then Client.handle c ~src msg))
-    clients;
-  Array.iteri
-    (fun i d ->
-      states.(client_base + i).handler <-
-        (fun ~src msg ->
-          if not (Atomic.get quiesce) then Ci_load.Open_client.handle d ~src msg))
-    drivers;
+  let d = deploy spec ~state:(Array.get states) ~t0 ~quiesce in
+  let work = Array.init n (fun _ -> Metrics.counter (Metrics.create ()) "live.events") in
   let domains =
     Array.init n (fun i ->
         Domain.spawn (fun () ->
             let a0 = Gc.allocated_bytes () in
-            (if i < total_replicas then replicas.(i).Protocol.start ()
-             else if i >= client_base then
-               if Array.length drivers > 0 then
-                 Ci_load.Open_client.start drivers.(i - client_base)
-               else Client.start clients.(i - client_base));
-            event_loop states.(i) ~t0 ~stop ~m_work;
+            Deployment.start ~node:i d;
+            event_loop states.(i) ~t0 ~stop ~m_work:work.(i);
             (* [Gc.allocated_bytes] is domain-local; the delta is what
                this node's whole lifetime allocated, written before the
                join so the main domain can read it afterwards. *)
@@ -644,230 +605,32 @@ let run_inproc spec =
   Atomic.set stop true;
   Array.iter Domain.join domains;
   (* Everything below reads domain-owned state after the joins. *)
-  let wall_s = float_of_int t_quiesce /. 1e9 in
-  let load =
-    if Array.length load_sinks = 0 then None
-    else begin
-      let pooled = Ci_load.Load_stats.create ~from_:0 ~until_:duration_ns in
-      Array.iter (fun s -> Ci_load.Load_stats.merge ~into:pooled s) load_sinks;
-      Some pooled
-    end
+  let nodes =
+    Array.of_list
+      (List.mapi
+         (fun i dep ->
+           node_report states.(i) dep ~events:(Metrics.counter_value work.(i)))
+         (Deployment.reports d))
   in
-  let ops =
-    Array.fold_left
-      (fun acc s -> acc + Run_stats.completed_in s ~from_:0 ~until_:t_quiesce)
-      0 client_stats
-    + (match load with Some s -> Ci_load.Load_stats.completed s | None -> 0)
-  in
-  let latencies =
-    Array.concat
-      (Array.to_list
-         (Array.map
-            (fun s -> Run_stats.latencies_in s ~from_:0 ~until_:t_quiesce)
-            client_stats))
-  in
-  let retries =
-    Array.fold_left (fun acc c -> acc + Client.retries c) 0 clients
-    + (match load with Some s -> Ci_load.Load_stats.retries s | None -> 0)
-  in
-  let counts f = Array.map (fun r -> f r ()) replicas in
-  let leader_changes =
-    Protocol.total_leader_changes spec.protocol
-      (counts (fun r -> r.Protocol.leader_changes))
-  in
-  let acceptor_changes =
-    Array.fold_left max 0 (counts (fun r -> r.Protocol.acceptor_changes))
-  in
-  let queues_total =
-    {
-      q_count = Transport.mesh_queue_count mesh;
-      q_msgs = Transport.mesh_msgs mesh;
-      q_blocked =
-        Array.fold_left (fun acc s -> acc + Transport.blocked s.tr) 0 states;
-      q_occupancy_peak = Transport.mesh_occupancy_peak mesh;
-      q_outbox_peak =
-        Array.fold_left (fun acc s -> max acc (Transport.outbox_peak s.tr)) 0 states;
-      q_outbox_dropped =
-        Array.fold_left
-          (fun acc s -> acc + Transport.outbox_dropped s.tr)
-          0 states;
-    }
-  in
-  (* Consistency: the same check as Runner.run, over live views. *)
-  let consistency, atomicity =
-    Run_check.check
-      ~sources:
-        (List.concat
-           [
-             Array.to_list (Array.map Run_check.of_client clients);
-             Array.to_list (Array.map Run_check.of_driver drivers);
-             Array.to_list
-               (Array.mapi
-                  (fun g p -> Run_check.of_participant ~node:(g * n_replicas) p)
-                  participants);
-           ])
-      ~views:(Array.map (fun r -> Replica_core.view r.Protocol.core) replicas)
-      ~groups:n_groups ~group_of_replica
-      ~txns:(Array.to_list routers |> List.concat_map Shard.Router.txn_reports)
-  in
-  let full_ring_sends = Array.map (fun s -> Transport.blocked s.tr) states in
-  record_ring_metrics metrics states;
-  Metrics.set_int metrics "live.queue.jumbo" (Transport.mesh_jumbo mesh);
-  (* Allocation accounting covers the protocol-side domains (replicas
-     and routers): the event-loop hot path the Gc guard pins. *)
-  let alloc_words_per_op =
-    let bytes = ref 0. in
-    for i = 0 to client_base - 1 do
-      bytes := !bytes +. states.(i).alloc_bytes
-    done;
-    let words = !bytes /. float_of_int (Sys.word_size / 8) in
-    if ops > 0 then words /. float_of_int ops else 0.
-  in
-  Metrics.set_float metrics "live.alloc.words_per_op" alloc_words_per_op;
-  if n_groups > 1 then begin
-    let sum f = Array.fold_left (fun a r -> a + f r) 0 routers in
-    Metrics.set_int metrics "live.shard.groups" n_groups;
-    Metrics.set_int metrics "live.shard.forwarded" (sum Shard.Router.forwarded);
-    Metrics.set_int metrics "live.shard.committed" (sum Shard.Router.committed);
-    Metrics.set_int metrics "live.shard.aborted" (sum Shard.Router.aborted)
-  end;
-  let lease_reads =
-    Array.fold_left ( + ) 0 (counts (fun r -> r.Protocol.lease_reads))
-  in
-  if spec.lease > 0 then Metrics.set_int metrics "live.lease.reads" lease_reads;
-  (match load with
-  | Some s ->
-    let lp = Ci_load.Load_stats.latency_percentiles s in
-    let sp = Ci_load.Load_stats.service_percentiles s in
-    Metrics.set_int metrics "live.load.issued" (Ci_load.Load_stats.issued s);
-    Metrics.set_int metrics "live.load.completed"
-      (Ci_load.Load_stats.completed s);
-    Metrics.set_int metrics "live.load.rejected"
-      (Ci_load.Load_stats.rejected s);
-    Metrics.set_int metrics "live.load.stale_reads"
-      (Ci_load.Load_stats.stale_reads s);
-    Metrics.set_int metrics "live.load.max_backlog"
-      (Ci_load.Load_stats.max_backlog s);
-    Metrics.set_float metrics "live.load.throughput"
-      (Ci_load.Load_stats.throughput s);
-    Metrics.set_int metrics "live.load.p50" lp.Ci_load.Load_stats.p50;
-    Metrics.set_int metrics "live.load.p99" lp.Ci_load.Load_stats.p99;
-    Metrics.set_int metrics "live.load.p999" lp.Ci_load.Load_stats.p999;
-    Metrics.set_int metrics "live.load.service_p50" sp.Ci_load.Load_stats.p50;
-    Metrics.set_int metrics "live.load.service_p99" sp.Ci_load.Load_stats.p99;
-    Metrics.set_int metrics "live.load.service_p999" sp.Ci_load.Load_stats.p999
-  | None -> ());
-  Metrics.set_int metrics "live.ops" ops;
-  Metrics.set_int metrics "live.retries" retries;
-  Metrics.set_int metrics "live.queue.msgs" queues_total.q_msgs;
-  Metrics.set_int metrics "live.queue.blocked" queues_total.q_blocked;
-  Metrics.set_int metrics "live.queue.occupancy_peak"
-    queues_total.q_occupancy_peak;
-  Metrics.set_int metrics "live.queue.outbox_peak" queues_total.q_outbox_peak;
-  Metrics.set_int metrics "live.queue.outbox_dropped"
-    queues_total.q_outbox_dropped;
-  let completions =
-    Array.concat
-      (Array.to_list
-         (Array.map
-            (fun s -> Run_stats.completions_in s ~from_:0 ~until_:t_quiesce)
-            client_stats))
-  in
-  Array.sort compare completions;
-  (* Wall-clock commit rates over the measured phase, 100 ms buckets
-     (full buckets only) — the live twin of [Runner.result.timeline],
-     so failover figures can overlay both backends. *)
-  let timeline =
-    let bucket = 100_000_000 in
-    let counts = Array.make (t_quiesce / bucket) 0 in
-    Array.iter
-      (fun t ->
-        let b = t / bucket in
-        if b < Array.length counts then counts.(b) <- counts.(b) + 1)
-      completions;
-    Array.map (fun c -> float_of_int c *. 1e9 /. float_of_int bucket) counts
-  in
-  let failover =
-    match Ci_faults.first_fault_at spec.nemesis with
-    | Some fault_at when fault_at >= 0 && fault_at < t_quiesce ->
-      Metrics.set_int metrics "live.faults.dropped"
-        (Array.fold_left (fun acc s -> acc + s.n_fault_dropped) 0 states);
-      Metrics.set_int metrics "live.faults.duplicated"
-        (Array.fold_left (fun acc s -> acc + s.n_fault_duplicated) 0 states);
-      let f =
-        Ci_obs.Failover.analyze ~completions ~from_:0 ~fault_at
-          ~until_:t_quiesce
-      in
-      Ci_obs.Failover.record metrics f;
-      Some f
-    | Some _ | None -> None
-  in
-  {
-    spec;
-    cores = Domain.recommended_domain_count ();
-    wall_s;
-    ops;
-    throughput = (if wall_s > 0. then float_of_int ops /. wall_s else 0.);
-    latency = Summary.of_samples latencies;
-    retries;
-    leader_changes;
-    acceptor_changes;
-    retained =
-      Array.of_list
-        (List.filter_map (fun r -> r.Protocol.retained ()) (Array.to_list replicas));
-    timeline;
-    queues = queues_total;
-    full_ring_sends;
-    alloc_words_per_op;
-    lease_reads;
-    load;
-    consistency;
-    atomicity;
-    metrics;
-    failover;
-  }
+  finish spec ~t_quiesce
+    ~links:
+      ( Transport.mesh_queue_count mesh,
+        Transport.mesh_msgs mesh,
+        Transport.mesh_occupancy_peak mesh )
+    ~jumbo:(Transport.mesh_jumbo mesh) nodes
 
-(* ---------- socket runner: processes over stream sockets ---------- *)
-
-(* What a child process reports back over its control socket before
-   exiting, through [Marshal]. The replica view carries the decided log
-   itself, whose equality function is a closure: children are forks of
-   the parent's executable, so [Marshal.Closures] round-trips it. *)
-type harvest = {
-  h_view : Wire.value Consistency.replica_view option; (* replicas *)
-  h_leader_changes : int;
-  h_acceptor_changes : int;
-  h_retained : Ci_consensus.Onepaxos.retained option;
-  h_lease_reads : int;
-  h_client_node : int; (* clients: env node id *)
-  h_issued : Command.t Ci_rsm.Vec.t;
-  h_acked : int Ci_rsm.Vec.t;
-  h_stats : Run_stats.t option;
-  h_retries : int;
-  h_events : int;
-  h_blocked : int;
-  h_outbox_dropped : int;
-  h_outbox_peak : int;
-  h_sent : int;
-  h_full_kinds : (string * int) list;
-  h_alloc_bytes : float;
-}
+(* ---------- socket transport: processes over stream sockets ---------- *)
 
 (* One node of the mesh, running alone in a forked process: same
-   node_state, same event loop, same protocol cores — only the
-   transport and the phase control differ from the in-process runner.
-   The parent drives phases with single control bytes ('q' quiesce,
-   's' stop); the child answers with its marshalled harvest. *)
-let socket_child spec ~id ~t0 ~fds ~ctl_fd =
-  let n_replicas = spec.n_replicas in
-  let client_base = n_replicas in
-  let replica_ids = Array.init n_replicas Fun.id in
-  let tr = Transport.socket_endpoint ~id ~fds ~outbox_cap:spec.outbox_cap in
+   node_state, same event loop, same deployment — only the transport
+   and the phase control differ from the in-process runner. The parent
+   drives phases with single control bytes ('q' quiesce, 's' stop); the
+   child answers with its marshalled report. *)
+let socket_child spec ~n ~id ~t0 ~fds ~ctl_fd =
   let st =
-    fresh_state ~id ~tr ~nem_links:None
-      ~nem_seed:(spec.nemesis.Ci_faults.seed + (id * 7919))
+    node_state spec ~n ~id
+      ~tr:(Transport.socket_endpoint ~id ~fds ~outbox_cap:spec.outbox_cap)
   in
-  let env = env_for st ~t0 ~seed:(spec.seed + ((id + 1) * 1_000_003)) in
   let stop = Atomic.make false in
   let quiesce = Atomic.make false in
   Unix.set_nonblock ctl_fd;
@@ -882,77 +645,24 @@ let socket_child spec ~id ~t0 ~fds ~ctl_fd =
       | _ -> ())
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   in
-  let replica =
-    if id < n_replicas then
-      Some (Protocol.create spec.protocol (knobs spec) ~replicas:replica_ids env)
-    else None
-  in
-  let stats = Run_stats.create ~bucket:(ms 10) in
-  let client =
-    if id >= client_base then begin
-      let policy =
-        {
-          (Client.default_policy ~targets:replica_ids) with
-          Client.timeout = spec.client_timeout;
-          think = spec.think;
-          read_ratio = spec.read_ratio;
-          key_space = spec.key_space;
-        }
-      in
-      Some (Client.create ~env ~policy ~stats)
-    end
-    else None
-  in
-  Option.iter (fun r -> st.handler <- r.Protocol.handle) replica;
-  (match client with
-  | Some c ->
-    st.handler <-
-      (fun ~src msg -> if not (Atomic.get quiesce) then Client.handle c ~src msg)
-  | None -> ());
-  let metrics = Metrics.create () in
-  let m_work = Metrics.counter metrics "live.events" in
+  let d = deploy ~node:id spec ~state:(fun _ -> st) ~t0 ~quiesce in
+  let m_work = Metrics.counter (Metrics.create ()) "live.events" in
   let a0 = Gc.allocated_bytes () in
-  (match replica with
-  | Some r -> r.Protocol.start ()
-  | None -> Option.iter Client.start client);
+  Deployment.start d;
   event_loop ~ctl st ~t0 ~stop ~m_work;
   st.alloc_bytes <- Gc.allocated_bytes () -. a0;
-  let count f = match replica with Some r -> f r () | None -> 0 in
-  let harvest =
-    {
-      h_view = Option.map (fun r -> Replica_core.view r.Protocol.core) replica;
-      h_leader_changes = count (fun r -> r.Protocol.leader_changes);
-      h_acceptor_changes = count (fun r -> r.Protocol.acceptor_changes);
-      h_retained = Option.bind replica (fun r -> r.Protocol.retained ());
-      h_lease_reads = count (fun r -> r.Protocol.lease_reads);
-      h_client_node =
-        (match client with Some c -> Client.node_id c | None -> -1);
-      h_issued =
-        (match client with Some c -> Client.issued c | None -> Ci_rsm.Vec.create ());
-      h_acked =
-        (match client with
-        | Some c -> Client.acked_writes c
-        | None -> Ci_rsm.Vec.create ());
-      h_stats = (match client with Some _ -> Some stats | None -> None);
-      h_retries = (match client with Some c -> Client.retries c | None -> 0);
-      h_events = Metrics.counter_value m_work;
-      h_blocked = Transport.blocked tr;
-      h_outbox_dropped = Transport.outbox_dropped tr;
-      h_outbox_peak = Transport.outbox_peak tr;
-      h_sent = Transport.sent tr;
-      h_full_kinds = Transport.full_by_kind tr;
-      h_alloc_bytes = st.alloc_bytes;
-    }
+  let report =
+    node_report st
+      (List.hd (Deployment.reports d))
+      ~events:(Metrics.counter_value m_work)
   in
   Unix.clear_nonblock ctl_fd;
   let oc = Unix.out_channel_of_descr ctl_fd in
-  Marshal.to_channel oc harvest [ Marshal.Closures ];
+  Marshal.to_channel oc report [ Marshal.Closures ];
   flush oc
 
 let run_socket spec =
-  let n_replicas = spec.n_replicas and n_clients = spec.n_clients in
-  let client_base = n_replicas in
-  let n = n_replicas + n_clients in
+  let n = Deployment.n_nodes (config spec) in
   (* One stream socketpair per unordered pair of nodes, plus a control
      pair per node. All created before any fork, so every process
      inherits exactly the descriptors it needs and closes the rest. *)
@@ -983,7 +693,7 @@ let run_socket spec =
                  Unix.close pfd;
                  if j <> id then Unix.close cfd)
                ctl;
-             socket_child spec ~id ~t0 ~fds:mesh_fds.(id)
+             socket_child spec ~n ~id ~t0 ~fds:mesh_fds.(id)
                ~ctl_fd:(snd ctl.(id))
            with _ -> Unix._exit 2);
           Unix._exit 0
@@ -1004,12 +714,12 @@ let run_socket spec =
   phase_byte 'q';
   Unix.sleepf spec.drain_s;
   phase_byte 's';
-  let harvests =
+  let nodes =
     Array.map
       (fun (pfd, _) ->
         let ic = Unix.in_channel_of_descr pfd in
-        match (Marshal.from_channel ic : harvest) with
-        | h -> h
+        match (Marshal.from_channel ic : node_report) with
+        | r -> r
         | exception End_of_file ->
           failwith "Live.run: a socket-transport child died before reporting")
       ctl
@@ -1017,132 +727,10 @@ let run_socket spec =
   Array.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
   Array.iter (fun (pfd, _) -> try Unix.close pfd with Unix.Unix_error _ -> ()) ctl;
   Sys.set_signal Sys.sigpipe old_sigpipe;
-  (* Assembly: the same checks and shapes as the in-process runner,
-     over the children's reports. *)
-  let wall_s = float_of_int t_quiesce /. 1e9 in
-  let client_harvests =
-    Array.to_list harvests |> List.filteri (fun i _ -> i >= client_base)
-  in
-  let client_stats = List.filter_map (fun h -> h.h_stats) client_harvests in
-  let ops =
-    List.fold_left
-      (fun acc s -> acc + Run_stats.completed_in s ~from_:0 ~until_:t_quiesce)
-      0 client_stats
-  in
-  let latencies =
-    Array.concat
-      (List.map
-         (fun s -> Run_stats.latencies_in s ~from_:0 ~until_:t_quiesce)
-         client_stats)
-  in
-  let retries =
-    List.fold_left (fun acc h -> acc + h.h_retries) 0 client_harvests
-  in
-  (* Clients harvest zero counts, which neither a max nor a sum sees. *)
-  let leader_changes =
-    Protocol.total_leader_changes spec.protocol
-      (Array.map (fun h -> h.h_leader_changes) harvests)
-  in
-  let acceptor_changes =
-    Array.fold_left (fun acc h -> max acc h.h_acceptor_changes) 0 harvests
-  in
-  let queues_total =
-    {
-      q_count = n * (n - 1);
-      q_msgs = Array.fold_left (fun acc h -> acc + h.h_sent) 0 harvests;
-      q_blocked = Array.fold_left (fun acc h -> acc + h.h_blocked) 0 harvests;
-      q_occupancy_peak = 0; (* kernel-owned on this transport *)
-      q_outbox_peak =
-        Array.fold_left (fun acc h -> max acc h.h_outbox_peak) 0 harvests;
-      q_outbox_dropped =
-        Array.fold_left (fun acc h -> acc + h.h_outbox_dropped) 0 harvests;
-    }
-  in
-  let consistency, _ =
-    Run_check.check
-      ~sources:
-        (List.map
-           (fun h ->
-             { Run_check.node = h.h_client_node; issued = h.h_issued; acked = h.h_acked })
-           client_harvests)
-      ~views:(Array.of_list (List.filter_map (fun h -> h.h_view) (Array.to_list harvests)))
-      ~groups:1 ~group_of_replica:Fun.id ~txns:[]
-  in
-  let metrics = Metrics.create () in
-  let m_work = Metrics.counter metrics "live.events" in
-  Metrics.add m_work (Array.fold_left (fun acc h -> acc + h.h_events) 0 harvests);
-  let full_kinds = Hashtbl.create 8 in
-  Array.iteri
-    (fun i h ->
-      Metrics.set_int metrics
-        (Printf.sprintf "live.node%d.full_ring_sends" i)
-        h.h_blocked;
-      List.iter
-        (fun (k, c) ->
-          Hashtbl.replace full_kinds k
-            (c + Option.value (Hashtbl.find_opt full_kinds k) ~default:0))
-        h.h_full_kinds)
-    harvests;
-  Hashtbl.iter
-    (fun k c -> Metrics.set_int metrics ("live.ring.full." ^ k) c)
-    full_kinds;
-  let alloc_words_per_op =
-    let bytes = ref 0. in
-    for i = 0 to client_base - 1 do
-      bytes := !bytes +. harvests.(i).h_alloc_bytes
-    done;
-    let words = !bytes /. float_of_int (Sys.word_size / 8) in
-    if ops > 0 then words /. float_of_int ops else 0.
-  in
-  Metrics.set_float metrics "live.alloc.words_per_op" alloc_words_per_op;
-  Metrics.set_int metrics "live.ops" ops;
-  Metrics.set_int metrics "live.retries" retries;
-  Metrics.set_int metrics "live.queue.msgs" queues_total.q_msgs;
-  Metrics.set_int metrics "live.queue.blocked" queues_total.q_blocked;
-  Metrics.set_int metrics "live.queue.outbox_peak" queues_total.q_outbox_peak;
-  Metrics.set_int metrics "live.queue.outbox_dropped"
-    queues_total.q_outbox_dropped;
-  let completions =
-    Array.concat
-      (List.map
-         (fun s -> Run_stats.completions_in s ~from_:0 ~until_:t_quiesce)
-         client_stats)
-  in
-  Array.sort compare completions;
-  let timeline =
-    let bucket = 100_000_000 in
-    let counts = Array.make (t_quiesce / bucket) 0 in
-    Array.iter
-      (fun t ->
-        let b = t / bucket in
-        if b < Array.length counts then counts.(b) <- counts.(b) + 1)
-      completions;
-    Array.map (fun c -> float_of_int c *. 1e9 /. float_of_int bucket) counts
-  in
-  {
-    spec;
-    cores = Domain.recommended_domain_count ();
-    wall_s;
-    ops;
-    throughput = (if wall_s > 0. then float_of_int ops /. wall_s else 0.);
-    latency = Summary.of_samples latencies;
-    retries;
-    leader_changes;
-    acceptor_changes;
-    retained =
-      Array.of_list (List.filter_map (fun h -> h.h_retained) (Array.to_list harvests));
-    timeline;
-    queues = queues_total;
-    full_ring_sends = Array.map (fun h -> h.h_blocked) harvests;
-    alloc_words_per_op;
-    lease_reads =
-      Array.fold_left (fun acc h -> acc + h.h_lease_reads) 0 harvests;
-    load = None;
-    consistency;
-    atomicity = None;
-    metrics;
-    failover = None;
-  }
+  (* The kernel owns the socket buffers: no occupancy to report. *)
+  finish spec ~t_quiesce
+    ~links:(n * (n - 1), Array.fold_left (fun acc r -> acc + r.sent) 0 nodes, 0)
+    nodes
 
 let run spec =
   validate spec;

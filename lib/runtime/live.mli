@@ -29,11 +29,10 @@ type protocol = Ci_consensus.Protocol.name =
   | Twopc
   | Mencius
   | Cheappaxos
-(** The registry's protocol names, re-exported. Replicas are built,
-    driven and recovered through {!Ci_consensus.Protocol}, with its
-    shared timeout rule at a 50 ms wall-clock round trip. The live
-    runtime runs 1Paxos and Multi-Paxos; {!validate} rejects the
-    others. *)
+(** The registry's protocol names, re-exported. Every protocol runs
+    here: the run is laid out, built, recovered and checked by
+    {!Ci_workload.Deployment}, with the registry's timeout rule at a
+    50 ms wall-clock round trip. *)
 
 type transport = Spsc | Socket
 
@@ -47,8 +46,7 @@ type spec = {
           spawns [groups * n_replicas] replica domains group-major plus
           one router domain per group; clients send to the routers,
           which forward single-shard commands and run cross-shard
-          multi-puts as 2PC transactions over the owning groups.
-          In-process transport only. *)
+          multi-puts as 2PC transactions over the owning groups. *)
   cross_shard_ratio : float;
       (** Fraction of client commands that are cross-shard two-key
           multi-puts ([0.] leaves the workload untouched). *)
@@ -57,9 +55,7 @@ type spec = {
   transport : transport;
       (** [Spsc] (default): domains over {!Spsc_bytes} rings in shared
           memory. [Socket]: one forked process per node over stream
-          sockets; requires [groups = 1] and an empty nemesis (process
-          faults belong to the operating system on that backend).
-          OCaml 5 refuses [Unix.fork] once a process has ever spawned a
+          sockets. OCaml 5 refuses [Unix.fork] once a process has ever spawned a
           domain, so a [Socket] run must come before any [Spsc] run (or
           any other domain use) in the same process — the CLI satisfies
           this trivially, one run per invocation. *)
@@ -97,8 +93,8 @@ type spec = {
           drivers instead of closed-loop clients: arrivals follow the
           offered schedule for the measured phase, latency is measured
           from the intended arrival, and the per-driver sinks are pooled
-          into [result.load]. In-process transport only; [think],
-          [read_ratio] and [key_space] are ignored. *)
+          into [result.load]. [think], [read_ratio] and [key_space] are
+          ignored. *)
   nemesis : Ci_faults.t;
       (** Declarative fault schedule ({!Ci_faults.empty} by default).
           Crash and pause transitions are evaluated by each replica
@@ -107,7 +103,7 @@ type spec = {
           through the protocol's [recover]; link faults act sender-side
           at the transport boundary. Node indices refer to replicas
           [0..groups*n_replicas-1]. [Slow] faults are simulator-only and
-          rejected here. In-process transport only. *)
+          rejected here. *)
 }
 
 val default_spec : protocol:protocol -> spec
@@ -143,9 +139,9 @@ type result = {
           applied [LeaderChange] entries (max over replicas), 0 on a
           healthy no-fault run. Multi-Paxos: elections initiated (sum),
           1 on a healthy run (the seeded leader's own). *)
-  acceptor_changes : int;  (** 1Paxos only; 0 for Multi-Paxos. *)
+  acceptor_changes : int;  (** 1Paxos only; 0 for the others. *)
   retained : Ci_consensus.Onepaxos.retained array;
-      (** 1Paxos only (empty for Multi-Paxos): each replica's
+      (** 1Paxos only (empty for the others): each replica's
           protocol-table entries at the end of the run, which the
           instances in flight bound. *)
   timeline : float array;
@@ -171,8 +167,7 @@ type result = {
           published as [live.lease.reads]. *)
   load : Ci_load.Load_stats.t option;
       (** Open-loop measurement sink pooled over the drivers ([Some]
-          exactly when [spec.open_loop] was set on the in-process
-          transport); also published under [live.load.*]. *)
+          exactly when [spec.open_loop] was set); also published under [live.load.*]. *)
   consistency : Ci_rsm.Consistency.report;
       (** The simulator's checker over the live replicas' views;
           per-group and merged under sharding. *)
@@ -191,8 +186,8 @@ type result = {
 
 val validate : spec -> unit
 (** [validate spec] is the check {!run} starts with.
-    @raise Invalid_argument on a malformed spec (see field docs), or on
-    a protocol other than 1Paxos and Multi-Paxos. *)
+    @raise Invalid_argument on a malformed spec (see field docs and
+    {!Ci_workload.Deployment.validate}). *)
 
 val run : spec -> result
 (** [run spec] executes one live run and joins every domain (or reaps

@@ -9,6 +9,13 @@ let record t ~intended_at ~sent_at ~replied_at =
   t.n <- t.n + 1;
   Ci_stats.Timeseries.add t.ts ~time:replied_at
 
+let merge ~into src =
+  List.iter
+    (fun s ->
+      record into ~intended_at:s.intended_at ~sent_at:s.sent_at
+        ~replied_at:s.replied_at)
+    (List.rev src.acc)
+
 let samples t = List.rev t.acc
 let timeline t = t.ts
 let completed t = t.n

@@ -18,6 +18,10 @@ val record : t -> intended_at:int -> sent_at:int -> replied_at:int -> unit
 (** [record t ~intended_at ~sent_at ~replied_at] logs one completed
     request. *)
 
+val merge : into:t -> t -> unit
+(** [merge ~into src] records every sample of [src] into [into], in
+    completion order. *)
+
 val samples : t -> sample list
 (** [samples t] is every completed request, in completion order. *)
 

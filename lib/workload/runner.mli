@@ -21,23 +21,18 @@ type placement =
   | Dedicated of { n_replicas : int; n_clients : int }
   | Joint of { n_nodes : int }
 
-type open_loop = {
+type open_loop = Deployment.open_loop = {
   arrival : Ci_load.Arrival.spec;
-      (** Offered-load schedule {e per driver node} — total offered load
-          is [rate × n_clients]. *)
   key_dist : Ci_load.Key_dist.spec;
   key_space : int;
   mix : Ci_load.Open_client.mix;
-  range_span : int;  (** Keys per [Range] command. *)
-  population : int;  (** Logical clients multiplexed per driver. *)
-  sessions : int;  (** Concurrent in-flight requests per driver. *)
+  range_span : int;
+  population : int;
+  sessions : int;
 }
-(** Workload knobs for the open-loop driver; deployment shape (targets,
-    timeouts, the measurement window) comes from the {!spec}. *)
+(** The open-loop workload knobs, re-exported from {!Deployment}. *)
 
 val default_open_loop : open_loop
-(** 50k fixed ops/s per driver, uniform keys over 64Ki, 50% reads,
-    100k logical clients over 16 sessions. *)
 
 type spec = {
   protocol : protocol;

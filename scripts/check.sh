@@ -47,22 +47,34 @@ echo "== codec round-trip smoke (full wire vocabulary, qcheck + zero-alloc) =="
 # and the zero-allocation encode guarantee.
 dune exec test/test_main.exe -- test codec -q -c
 
-echo "== socket-transport live smoke (3 replicas, both protocols, <=2s) =="
+echo "== socket-transport live smoke (both protocols, sharded, nemesis; <=2s each) =="
 # The same cores as separate processes over stream sockets, codec as
-# the wire format. Exit 3 means this host cannot provide
-# sockets/processes — skip, don't fail.
-for proto in onepaxos multipaxos; do
+# the wire format, each child building its own node through the shared
+# deployment: both protocols, a 2-group run with cross-shard 2PC (exit
+# 1 on a consistency or atomicity violation) and a crash/restart of the
+# active acceptor (exit 1 if commits never resume). Exit 3 means this
+# host cannot provide sockets/processes — skip, don't fail.
+socket_run() {
+  [ "$socket_skip" -eq 0 ] || return 0
   rc=0
-  dune exec bin/consensus_sim.exe -- live --protocol "$proto" \
-    --transport socket --replicas 3 --clients 2 \
-    --duration-s 0.5 --drain-s 0.1 || rc=$?
+  dune exec bin/consensus_sim.exe -- "$@" || rc=$?
   if [ "$rc" -eq 3 ]; then
     echo "sockets unavailable on this host; skipping"
-    break
+    socket_skip=1
   elif [ "$rc" -ne 0 ]; then
     exit "$rc"
   fi
+}
+socket_skip=0
+for proto in onepaxos multipaxos; do
+  socket_run live --protocol "$proto" --transport socket --replicas 3 \
+    --clients 2 --duration-s 0.5 --drain-s 0.1
 done
+socket_run live --protocol onepaxos --transport socket --groups 2 \
+  --replicas 2 --clients 2 --cross-shard-ratio 0.2 --duration-s 0.4 \
+  --drain-s 0.1
+socket_run nemesis --backend live --transport socket --protocol 1paxos \
+  --replicas 3 --clients 2 --duration-ms 800 --crash 1:250:300
 
 echo "== live shard smoke (2 groups, cross-shard 2PC, both protocols) =="
 # Sharded real-domain runs: 2 consensus groups of 2 replicas plus a

@@ -232,21 +232,15 @@ let test_validation () =
   expect_invalid "groups" { ok with Live.groups = 0 };
   expect_invalid "cross-shard ratio < 0" { ok with Live.cross_shard_ratio = -0.1 };
   expect_invalid "cross-shard ratio > 1" { ok with Live.cross_shard_ratio = 1.1 };
-  expect_invalid "socket transport with groups > 1"
-    { ok with Live.transport = Live.Socket; groups = 2 };
   expect_invalid "negative lease" { ok with Live.lease = -1 };
   expect_invalid "lease skew >= lease"
     { ok with Live.lease = 100; lease_skew = 100 };
-  expect_invalid "socket transport with the open-loop driver"
+  expect_invalid "leases on a protocol without them"
+    { ok with Live.protocol = Live.Twopc; lease = 20_000_000 };
+  expect_invalid "a crash on a protocol without crash-recovery"
     {
       ok with
-      Live.transport = Live.Socket;
-      open_loop = Some Runner.default_open_loop;
-    };
-  expect_invalid "socket transport with a nemesis"
-    {
-      ok with
-      Live.transport = Live.Socket;
+      Live.protocol = Live.Mencius;
       nemesis =
         {
           Ci_faults.seed = 1;
@@ -254,27 +248,15 @@ let test_validation () =
         };
     }
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
-(* The live runtime runs 1Paxos and Multi-Paxos; the other registry
-   protocols are rejected up front, naming the protocol. *)
+(* Every registry protocol runs on the live runtime, through the same
+   deployment as on the simulator: 2PC clients keep their coordinator,
+   Mencius clients spread over the leaders. *)
 let test_live_protocols () =
-  let ok = Live.default_spec ~protocol:Live.Onepaxos in
-  Live.validate ok;
-  Live.validate { ok with Live.protocol = Live.Multipaxos };
   List.iter
     (fun protocol ->
-      let name = Ci_consensus.Protocol.to_string protocol in
-      match Live.validate { ok with Live.protocol } with
-      | exception Invalid_argument m ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: message %S names it" name m)
-          true
-          (contains m name)
-      | () -> Alcotest.failf "%s: accepted on the live runtime" name)
+      check_live
+        (Ci_consensus.Protocol.to_string protocol)
+        (Live.run (short_spec protocol)))
     [ Live.Twopc; Live.Mencius; Live.Cheappaxos ]
 
 let test_protocol_names () =
@@ -310,25 +292,33 @@ let test_protocol_names () =
    child). Exit 0 means the run completed AND the consistency check
    signed off; exit 3 is the CLI's "sockets unavailable on this host"
    skip. *)
+let socket_run name args =
+  match Test_cli.run args with
+  | None -> print_endline "consensus_sim.exe not found; skipping"
+  | Some (0, _) -> ()
+  | Some (3, _) -> Printf.printf "sockets unavailable; skipping %s\n" name
+  | Some (rc, err) -> Alcotest.failf "%s: exit %d: %s" name rc err
+
 let test_socket_smoke () =
-  let candidates =
-    [ "../bin/consensus_sim.exe"; "_build/default/bin/consensus_sim.exe" ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | None -> Printf.printf "consensus_sim.exe not found; skipping\n"
-  | Some exe ->
-    List.iter
-      (fun protocol ->
-        let cmd =
-          Printf.sprintf
-            "%s live -p %s --transport socket -d 0.2 --drain-s 0.1 >/dev/null"
-            (Filename.quote exe) protocol
-        in
-        match Sys.command cmd with
-        | 0 -> ()
-        | 3 -> Printf.printf "sockets unavailable; skipping %s\n" protocol
-        | rc -> Alcotest.failf "socket live %s: exit %d" protocol rc)
-      [ "onepaxos"; "multipaxos" ]
+  List.iter
+    (fun protocol ->
+      socket_run protocol
+        (Printf.sprintf "live -p %s --transport socket -d 0.2 --drain-s 0.1" protocol))
+    [ "onepaxos"; "multipaxos" ]
+
+(* What the socket transport shares with the others through the
+   deployment: sharding with cross-shard 2PC (exit 1 on a consistency or
+   atomicity violation), open-loop drivers (exit 1 on a stale session
+   read) and the node-local nemesis (exit 1 if commits never resume). *)
+let test_socket_deployment () =
+  socket_run "sharded"
+    "live -p 1paxos --transport socket -g 2 -r 2 -c 2 --cross-shard-ratio 0.2 \
+     -d 0.3 --drain-s 0.1";
+  socket_run "open loop"
+    "load --backend live --transport socket -p multipaxos -d 250 --rate 2000";
+  socket_run "nemesis"
+    "nemesis --backend live --transport socket -p 1paxos --duration-ms 600 \
+     --crash 1:200:200"
 
 let suite =
   ( "runtime",
@@ -359,8 +349,10 @@ let suite =
       Alcotest.test_case "spec validation" `Quick test_validation;
       Alcotest.test_case "protocol and transport name parsing" `Quick
         test_protocol_names;
-      Alcotest.test_case "validate: live runs 1paxos and multipaxos only" `Quick
-        test_live_protocols;
+      Alcotest.test_case "live runs 2pc, mencius and cheappaxos consistently"
+        `Quick test_live_protocols;
       Alcotest.test_case "socket transport: both protocols consistent" `Quick
         test_socket_smoke;
+      Alcotest.test_case "socket transport: sharding, open loop, nemesis" `Quick
+        test_socket_deployment;
     ] )
