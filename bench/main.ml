@@ -1,11 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (sections E1..E9 below, indexed in DESIGN.md) and finishes
-   with a bechamel micro-benchmark suite of the building blocks.
+   evaluation (sections E1..E9 below, indexed in DESIGN.md) and the
+   stamped BENCH_{shards,service,faults,explore}.json artifacts. Layer
+   costs and regression numbers live in perfbench/, not here.
 
    Usage: main.exe [--jobs N] [section ...]
    Sections: netchar fig2 latency fig8 fig9 fig10 fig11 sec2_2 lan
-             ablation batching protocols metrics engine runtime shards
-             service faults micro (default: all).
+             ablation batching protocols metrics shards service faults
+             explore (default: all).
 
    [--jobs N] (or CI_JOBS) fans the independent simulation runs inside
    each section out over N domains; the printed figures are
@@ -17,7 +18,7 @@ module E = Ci_workload.Experiments
 module Pool = Ci_workload.Pool
 module Sim_time = Ci_engine.Sim_time
 
-(* Wall-clock per section, collected for BENCH_engine.json. The sink is
+(* Wall-clock per section, for the jobs=1 vs jobs=N table. The sink is
    swapped when re-timing sections at jobs=1. *)
 let section_walls : (string * float) list ref = ref []
 let section_walls_j1 : (string * float) list ref = ref []
@@ -53,6 +54,46 @@ let quietly f =
       Format.print_flush ();
       Format.set_formatter_out_functions old)
     f
+
+(* Every BENCH_*.json written here has one envelope,
+   {"commit", "cores", "ocaml", "rows": [...]}, so a number is never
+   read without the code and host that produced it. [commit] is
+   [git rev-parse HEAD], suffixed "-dirty" when tracked files differ
+   from it, or "unknown" outside a checkout. A row is a list of
+   (key, value) pairs, each value already rendered by [str], [int],
+   [num] or [bool]. *)
+let str s = "\"" ^ String.escaped s ^ "\""
+let int = string_of_int
+let num digits x = Printf.sprintf "%.*f" digits x
+let bool = string_of_bool
+
+let git args =
+  let ic = Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") in
+  let out = String.trim (In_channel.input_all ic) in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> Some out
+  | _ -> None
+
+let commit () =
+  match git "rev-parse HEAD" with
+  | None | Some "" -> "unknown"
+  | Some head when git "status --porcelain --untracked-files=no" = Some "" -> head
+  | Some head -> head ^ "-dirty"
+
+let write_rows file rows =
+  let row r =
+    "    {"
+    ^ String.concat ", " (List.map (fun (k, v) -> str k ^ ": " ^ v) r)
+    ^ "}"
+  in
+  Out_channel.with_open_text file (fun oc ->
+      Printf.fprintf oc
+        "{\n  \"commit\": %s,\n  \"cores\": %d,\n  \"ocaml\": %s,\n  \"rows\": [\n%s\n  ]\n}\n"
+        (str (commit ()))
+        (Domain.recommended_domain_count ())
+        (str Sys.ocaml_version)
+        (String.concat ",\n" (List.map row rows)));
+  Format.printf "@.wrote %s@." file
 
 let netchar ~jobs =
   section "E1. Network characteristics (Section 3)"
@@ -155,396 +196,6 @@ let batching ~jobs =
     "draining k queued messages per reception charge models vectored reads"
     (fun () -> Format.printf "%a" E.pp_series (E.ablation_coalesce ~jobs ()))
 
-(* ----- engine self-benchmark --------------------------------------------- *)
-
-type engine_stats = {
-  evq_mops : float;  (* event-queue push+pop pairs per second, millions *)
-  run_wall_s : float;
-  run_sim_events : int;
-  run_events_per_sec : float;
-  run_alloc_words : float;
-  run_throughput : float;
-  jobs : int;
-  batch_wall_j1 : float;  (* fixed 8-run batch at jobs=1 *)
-  batch_wall_jn : float;  (* the same batch at jobs=N *)
-  parallel_speedup : float;
-}
-
-let engine_stats : engine_stats option ref = ref None
-
-let alloc_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-
-let engine ~jobs =
-  section "Engine self-benchmark"
-    "host-side speed of the simulation engine itself (not simulated time)"
-    (fun () ->
-      (* Event-queue micro: push/pop pairs through a live heap. *)
-      let n = 100_000 and rounds = 20 in
-      let q = Ci_engine.Event_queue.create () in
-      let t0 = Unix.gettimeofday () in
-      for r = 0 to rounds - 1 do
-        for i = 0 to n - 1 do
-          Ci_engine.Event_queue.push q ~time:(((i * 7919) + r) mod 4096) i
-        done;
-        while not (Ci_engine.Event_queue.is_empty q) do
-          ignore (Ci_engine.Event_queue.pop q)
-        done
-      done;
-      let evq_wall = Unix.gettimeofday () -. t0 in
-      let evq_mops = float_of_int (n * rounds) /. evq_wall /. 1e6 in
-      Format.printf "event queue: %.1f M push+pop pairs/s@." evq_mops;
-      (* Standard run: wall-clock and allocation for a default 1Paxos
-         experiment, plus the engine's events/sec on it. *)
-      let module Runner = Ci_workload.Runner in
-      let spec =
-        Runner.default_spec ~protocol:Runner.Onepaxos
-          ~placement:(Runner.Dedicated { n_replicas = 3; n_clients = 13 })
-      in
-      let w0 = alloc_words () in
-      let t0 = Unix.gettimeofday () in
-      let r = Runner.run spec in
-      let run_wall_s = Unix.gettimeofday () -. t0 in
-      let run_alloc_words = alloc_words () -. w0 in
-      let run_events_per_sec = float_of_int r.Runner.sim_events /. run_wall_s in
-      Format.printf
-        "1paxos 3r/13c 50ms run: wall %.2fs, %d events (%.0f events/s), \
-         %.1f M words allocated, simulated %.0f op/s@."
-        run_wall_s r.Runner.sim_events run_events_per_sec
-        (run_alloc_words /. 1e6) r.Runner.throughput;
-      Format.printf "allocation: %.1f words/event@."
-        (run_alloc_words /. float_of_int r.Runner.sim_events);
-      (* Parallel batch: the same experiment shape at 8 different seeds,
-         once on one domain and once on [jobs] — the controlled speedup
-         measurement behind BENCH_engine.json's parallel_speedup. *)
-      let specs =
-        Array.init 8 (fun i ->
-            {
-              (Runner.default_spec ~protocol:Runner.Onepaxos
-                 ~placement:(Runner.Dedicated { n_replicas = 3; n_clients = 13 }))
-              with
-              Runner.seed = 42 + i;
-            })
-      in
-      let fingerprint (r : Runner.result) =
-        (r.Runner.sim_events, r.Runner.commits, r.Runner.throughput)
-      in
-      let timed f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        (r, Unix.gettimeofday () -. t0)
-      in
-      let r1, batch_wall_j1 =
-        timed (fun () -> Pool.parallel_map ~jobs:1 Runner.run specs)
-      in
-      let rn, batch_wall_jn =
-        timed (fun () -> Pool.parallel_map ~jobs Runner.run specs)
-      in
-      if Array.map fingerprint r1 <> Array.map fingerprint rn then
-        failwith "engine: parallel batch results differ across jobs";
-      let parallel_speedup = batch_wall_j1 /. batch_wall_jn in
-      Format.printf
-        "parallel batch (8 seeds): jobs=1 %.2fs, jobs=%d %.2fs, speedup \
-         %.2fx, results identical@."
-        batch_wall_j1 jobs batch_wall_jn parallel_speedup;
-      engine_stats :=
-        Some
-          {
-            evq_mops;
-            run_wall_s;
-            run_sim_events = r.Runner.sim_events;
-            run_events_per_sec;
-            run_alloc_words;
-            run_throughput = r.Runner.throughput;
-            jobs;
-            batch_wall_j1;
-            batch_wall_jn;
-            parallel_speedup;
-          })
-
-(* ----- live runtime benchmark -------------------------------------------- *)
-
-(* One row per protocol x replica count, collected for
-   BENCH_runtime.json. Unlike every section above, these numbers are
-   real wall-clock throughput of the protocol cores on this host's
-   domains, not simulated time. *)
-type runtime_row = {
-  rt_protocol : string;
-  rt_transport : string;
-  rt_replicas : int;
-  rt_ops : int;
-  rt_throughput : float;
-  rt_p50_us : float;
-  rt_p99_us : float;
-  rt_retries : int;
-  rt_q_blocked : int;
-  rt_full_ring : int array;  (* per-node full-ring sends *)
-  rt_alloc_words_per_op : float;
-  rt_consistent : bool;
-}
-
-type runtime_stats = { rt_cores : int; rt_rows : runtime_row list }
-
-let runtime_stats : runtime_stats option ref = ref None
-
-let runtime ~jobs:_ =
-  section "R1. Live runtime: the same cores on real domains (Section 6)"
-    "wall-clock op/s of 1Paxos vs Multi-Paxos over byte rings and sockets"
-    (fun () ->
-      let module Live = Ci_runtime.Live in
-      let cores = Domain.recommended_domain_count () in
-      let row protocol transport n_replicas =
-        let spec =
-          {
-            (Live.default_spec ~protocol) with
-            Live.n_replicas;
-            n_clients = 2;
-            transport;
-            duration_s = 1.0;
-            drain_s = 0.2;
-          }
-        in
-        let r = Live.run spec in
-        {
-          rt_protocol = Ci_consensus.Protocol.to_string protocol;
-          rt_transport = Live.transport_name transport;
-          rt_replicas = n_replicas;
-          rt_ops = r.Live.ops;
-          rt_throughput = r.Live.throughput;
-          rt_p50_us = float_of_int r.Live.latency.Ci_stats.Summary.p50 /. 1e3;
-          rt_p99_us = float_of_int r.Live.latency.Ci_stats.Summary.p99 /. 1e3;
-          rt_retries = r.Live.retries;
-          rt_q_blocked = r.Live.queues.Live.q_blocked;
-          rt_full_ring = r.Live.full_ring_sends;
-          rt_alloc_words_per_op = r.Live.alloc_words_per_op;
-          rt_consistent = Ci_rsm.Consistency.ok r.Live.consistency;
-        }
-      in
-      (* Socket rows first: Unix.fork is refused once this process has
-         ever spawned a domain, and the spsc rows spawn plenty. Skipped
-         (not failed) when fork or socketpairs are unavailable — e.g.
-         when an earlier section already went multicore. *)
-      let socket_rows =
-        match
-          [
-            row Live.Onepaxos Live.Socket 3;
-            row Live.Multipaxos Live.Socket 3;
-          ]
-        with
-        | rows -> rows
-        | exception Unix.Unix_error (e, fn, _) ->
-          Format.printf "socket transport unavailable (%s: %s); skipping@." fn
-            (Unix.error_message e);
-          []
-        | exception Failure m when String.length m >= 9 && String.sub m 0 9 = "Unix.fork" ->
-          Format.printf "socket transport unavailable (%s); skipping@." m;
-          []
-      in
-      let spsc_rows =
-        List.concat_map
-          (fun n ->
-            [ row Live.Onepaxos Live.Spsc n; row Live.Multipaxos Live.Spsc n ])
-          [ 3; 5 ]
-      in
-      let rows = spsc_rows @ socket_rows in
-      Format.printf "%d cores, 2 client domains, 1.0s measured per cell@." cores;
-      Format.printf "%-12s %-9s %9s %12s %10s %10s %10s %12s@." "protocol"
-        "transport" "replicas" "op/s" "p50(us)" "p99(us)" "alloc w/op"
-        "consistent";
-      List.iter
-        (fun r ->
-          Format.printf "%-12s %-9s %9d %12.0f %10.1f %10.1f %10.0f %12s@."
-            r.rt_protocol r.rt_transport r.rt_replicas r.rt_throughput
-            r.rt_p50_us r.rt_p99_us r.rt_alloc_words_per_op
-            (if r.rt_consistent then "yes" else "NO");
-          if not r.rt_consistent then
-            failwith
-              (Printf.sprintf "runtime: %s/%s with %d replicas was inconsistent"
-                 r.rt_protocol r.rt_transport r.rt_replicas))
-        rows;
-      runtime_stats := Some { rt_cores = cores; rt_rows = rows })
-
-let write_runtime_json () =
-  match !runtime_stats with
-  | None -> ()
-  | Some s ->
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf (Printf.sprintf "  \"cores\": %d,\n" s.rt_cores);
-    Buffer.add_string buf "  \"rows\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"protocol\": \"%s\", \"transport\": \"%s\", \
-              \"replicas\": %d, \"ops\": %d, \
-              \"throughput_ops\": %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f, \
-              \"retries\": %d, \"full_ring_sends\": %d, \
-              \"full_ring_sends_per_node\": [%s], \
-              \"alloc_words_per_op\": %.0f, \"consistent\": %b}%s\n"
-             r.rt_protocol r.rt_transport r.rt_replicas r.rt_ops
-             r.rt_throughput r.rt_p50_us r.rt_p99_us r.rt_retries r.rt_q_blocked
-             (String.concat ", "
-                (Array.to_list (Array.map string_of_int r.rt_full_ring)))
-             r.rt_alloc_words_per_op r.rt_consistent
-             (if i = List.length s.rt_rows - 1 then "" else ",")))
-      s.rt_rows;
-    Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_runtime.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_runtime.json@."
-
-(* ----- wire codec benchmark ----------------------------------------------- *)
-
-(* Per-message encode/decode cost of the fixed-slot wire codec, plus a
-   single-threaded slot-size sweep of the byte ring it feeds — the
-   numbers behind the default [slot_size]. Collected for
-   BENCH_codec.json. *)
-type codec_msg_row = {
-  cd_name : string;
-  cd_bytes : int;
-  cd_encode_ns : float;
-  cd_decode_ns : float;
-}
-
-type codec_sweep_row = {
-  cd_slot : int;
-  cd_ns_per_msg : float;  (* encode + ring push + pop + decode *)
-  cd_spilled : bool;  (* did the batch message span slots? *)
-}
-
-type codec_stats = {
-  cd_msgs : codec_msg_row list;
-  cd_sweep : codec_sweep_row list;
-}
-
-let codec_stats : codec_stats option ref = ref None
-
-let codec ~jobs:_ =
-  section "C1. Wire codec: fixed-slot encode/decode + ring slot-size sweep"
-    "ns per message through the zero-copy codec and the byte-slot SPSC ring"
-    (fun () ->
-      let module Wire = Ci_consensus.Wire in
-      let module Codec = Ci_consensus.Codec in
-      let module Command = Ci_rsm.Command in
-      let module Pn = Ci_consensus.Pn in
-      let module Clock = Ci_runtime.Clock in
-      let value client req_id =
-        { Wire.client; req_id; cmd = Command.Put { key = 7; data = 123456 } }
-      in
-      let pn = Pn.make ~round:3 ~owner:1 in
-      (* The protocols' hot-path vocabulary plus one spilling batch. *)
-      let mix =
-        [
-          ("Request", Wire.Request { req_id = 42; cmd = Command.Put { key = 7; data = 99 }; relaxed_read = false });
-          ("Reply", Wire.Reply { req_id = 42; result = Command.Done });
-          ("Op_accept_request", Wire.Op_accept_request { inst = 1000; pn; v = value 5 42 });
-          ("Op_learn", Wire.Op_learn { inst = 1000; v = value 5 42 });
-          ("Mp_accept", Wire.Mp_accept { inst = 1000; pn; v = value 5 42 });
-          ("Mp_learn", Wire.Mp_learn { inst = 1000; pn; v = value 5 42 });
-          ( "Op_accept_batch(8)",
-            Wire.Op_accept_batch
-              { base = 1000; pn; vs = Array.init 8 (fun i -> value 5 (100 + i)) } );
-        ]
-      in
-      let buf = Bytes.create 4096 in
-      let iters = 200_000 in
-      let time f =
-        for _ = 1 to 10_000 do f () done;
-        let t0 = Clock.now_ns () in
-        for _ = 1 to iters do f () done;
-        float_of_int (Clock.now_ns () - t0) /. float_of_int iters
-      in
-      let msg_rows =
-        List.map
-          (fun (name, msg) ->
-            let len = Codec.encode msg buf ~pos:0 in
-            {
-              cd_name = name;
-              cd_bytes = len;
-              cd_encode_ns = time (fun () -> ignore (Codec.encode msg buf ~pos:0));
-              cd_decode_ns =
-                time (fun () -> ignore (Codec.decode buf ~pos:0 ~len));
-            })
-          mix
-      in
-      Format.printf "%-22s %8s %12s %12s@." "message" "bytes" "encode(ns)"
-        "decode(ns)";
-      List.iter
-        (fun r ->
-          Format.printf "%-22s %8d %12.0f %12.0f@." r.cd_name r.cd_bytes
-            r.cd_encode_ns r.cd_decode_ns)
-        msg_rows;
-      (* Slot-size sweep: the full mix round-trips through one ring,
-         single-threaded — encode+push+pop+decode per message. Small
-         slots make the batch spill across several; big slots waste
-         bytes but never spill. *)
-      let module Sb = Ci_runtime.Spsc_bytes in
-      let sweep_rows =
-        List.map
-          (fun slot_size ->
-            let q = Sb.create ~slots:64 ~slot_size in
-            let msgs = Array.of_list (List.map snd mix) in
-            let n_mix = Array.length msgs in
-            let step i =
-              let m = msgs.(i mod n_mix) in
-              if not (Sb.try_push q m) then failwith "codec sweep: ring full";
-              match Sb.try_pop q with
-              | Some _ -> ()
-              | None -> failwith "codec sweep: ring empty"
-            in
-            let i = ref 0 in
-            let ns =
-              time (fun () ->
-                  step !i;
-                  incr i)
-            in
-            let batch_bytes = Codec.encoded_size (List.assoc "Op_accept_batch(8)" mix) in
-            { cd_slot = slot_size; cd_ns_per_msg = ns; cd_spilled = batch_bytes > slot_size })
-          [ 64; 128; 256; 512 ]
-      in
-      Format.printf "@.%-10s %14s %10s@." "slot_size" "ns/msg (ring)" "spills";
-      List.iter
-        (fun r ->
-          Format.printf "%-10d %14.0f %10s@." r.cd_slot r.cd_ns_per_msg
-            (if r.cd_spilled then "yes" else "no"))
-        sweep_rows;
-      codec_stats := Some { cd_msgs = msg_rows; cd_sweep = sweep_rows })
-
-let write_codec_json () =
-  match !codec_stats with
-  | None -> ()
-  | Some s ->
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"messages\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"message\": \"%s\", \"bytes\": %d, \"encode_ns\": %.0f, \
-              \"decode_ns\": %.0f}%s\n"
-             r.cd_name r.cd_bytes r.cd_encode_ns r.cd_decode_ns
-             (if i = List.length s.cd_msgs - 1 then "" else ",")))
-      s.cd_msgs;
-    Buffer.add_string buf "  ],\n  \"slot_sweep\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"slot_size\": %d, \"ns_per_msg\": %.0f, \"batch_spills\": %b}%s\n"
-             r.cd_slot r.cd_ns_per_msg r.cd_spilled
-             (if i = List.length s.cd_sweep - 1 then "" else ",")))
-      s.cd_sweep;
-    Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_codec.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_codec.json@."
-
 (* ----- sharded scaling benchmark ------------------------------------------ *)
 
 (* One row per protocol x group count, collected for BENCH_shards.json:
@@ -564,10 +215,6 @@ type shards_row = {
   sh_consistent : bool;
   sh_atomic : bool;
 }
-
-type shards_stats = { sh_cores : int; sh_rows : shards_row list }
-
-let shards_stats : shards_stats option ref = ref None
 
 let shards ~jobs:_ =
   section "S1. Sharded multi-group scaling (live, 2 clients, 0.5s per cell)"
@@ -634,35 +281,21 @@ let shards ~jobs:_ =
                  "shards: %s with %d groups violated cross-shard atomicity"
                  r.sh_protocol r.sh_groups))
         rows;
-      shards_stats := Some { sh_cores = cores; sh_rows = rows })
-
-let write_shards_json () =
-  match !shards_stats with
-  | None -> ()
-  | Some s ->
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf (Printf.sprintf "  \"cores\": %d,\n" s.sh_cores);
-    Buffer.add_string buf "  \"rows\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"protocol\": \"%s\", \"groups\": %d, \"ops\": %d, \
-              \"throughput_ops\": %.0f, \"cross_shard_committed\": %d, \
-              \"cross_shard_aborted\": %d, \"alloc_words_per_op\": %.1f, \
-              \"consistent\": %b, \"atomic\": %b}%s\n"
-             r.sh_protocol r.sh_groups r.sh_ops r.sh_throughput
-             r.sh_cross_committed r.sh_cross_aborted r.sh_alloc_words_per_op
-             r.sh_consistent r.sh_atomic
-             (if i = List.length s.sh_rows - 1 then "" else ",")))
-      s.sh_rows;
-    Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_shards.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_shards.json@."
+      write_rows "BENCH_shards.json"
+        (List.map
+           (fun r ->
+             [
+               ("protocol", str r.sh_protocol);
+               ("groups", int r.sh_groups);
+               ("ops", int r.sh_ops);
+               ("throughput_ops", num 0 r.sh_throughput);
+               ("cross_shard_committed", int r.sh_cross_committed);
+               ("cross_shard_aborted", int r.sh_cross_aborted);
+               ("alloc_words_per_op", num 1 r.sh_alloc_words_per_op);
+               ("consistent", bool r.sh_consistent);
+               ("atomic", bool r.sh_atomic);
+             ])
+           rows))
 
 (* ----- open-loop service benchmark ---------------------------------------- *)
 
@@ -684,10 +317,6 @@ type service_row = {
   sv_lease_reads : int;
   sv_knee : bool;
 }
-
-type service_stats = { sv_cores : int; sv_rows : service_row list }
-
-let service_stats : service_stats option ref = ref None
 
 let service ~jobs =
   section "S2. Open-loop service curves (sim + live, 90% reads)"
@@ -827,35 +456,22 @@ let service ~jobs =
               | _ -> ())
             [ "1paxos"; "multipaxos" ])
         [ "sim"; "live" ];
-      service_stats := Some { sv_cores = cores; sv_rows = rows })
-
-let write_service_json () =
-  match !service_stats with
-  | None -> ()
-  | Some s ->
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf (Printf.sprintf "  \"cores\": %d,\n" s.sv_cores);
-    Buffer.add_string buf "  \"rows\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"backend\": \"%s\", \"curve\": \"%s\", \"offered_ops\": \
-              %.1f, \"achieved_ops\": %.1f, \"p50_us\": %.2f, \"p99_us\": \
-              %.2f, \"p999_us\": %.2f, \"service_p99_us\": %.2f, \
-              \"lease_reads\": %d, \"knee\": %b}%s\n"
-             r.sv_backend r.sv_label r.sv_offered r.sv_achieved r.sv_p50_us
-             r.sv_p99_us r.sv_p999_us r.sv_service_p99_us r.sv_lease_reads
-             r.sv_knee
-             (if i = List.length s.sv_rows - 1 then "" else ",")))
-      s.sv_rows;
-    Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_service.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_service.json@."
+      write_rows "BENCH_service.json"
+        (List.map
+           (fun r ->
+             [
+               ("backend", str r.sv_backend);
+               ("curve", str r.sv_label);
+               ("offered_ops", num 1 r.sv_offered);
+               ("achieved_ops", num 1 r.sv_achieved);
+               ("p50_us", num 2 r.sv_p50_us);
+               ("p99_us", num 2 r.sv_p99_us);
+               ("p999_us", num 2 r.sv_p999_us);
+               ("service_p99_us", num 2 r.sv_service_p99_us);
+               ("lease_reads", int r.sv_lease_reads);
+               ("knee", bool r.sv_knee);
+             ])
+           rows))
 
 (* ----- fault-injection benchmark ------------------------------------------ *)
 
@@ -874,8 +490,6 @@ type faults_row = {
   f_ops_after : int;
   f_consistent : bool;
 }
-
-let faults_stats : faults_row list option ref = ref None
 
 let faults ~jobs:_ =
   section "F1. Failover under the nemesis (Section 7.6 / Figure 11)"
@@ -976,36 +590,22 @@ let faults ~jobs:_ =
               (Printf.sprintf "faults: %s never committed again after the crash"
                  cell))
         rows;
-      faults_stats := Some rows)
-
-let write_faults_json () =
-  match !faults_stats with
-  | None -> ()
-  | Some rows ->
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"rows\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"backend\": \"%s\", \"protocol\": \"%s\", \"scenario\": \
-              \"%s\", \"time_to_failover_ms\": %s, \"unavailable_ms\": %.2f, \
-              \"rate_before_ops\": %.0f, \"rate_after_ops\": %.0f, \
-              \"ops_after\": %d, \"consistent\": %b}%s\n"
-             r.f_backend r.f_protocol r.f_scenario
-             (match r.f_ttf_ms with
-              | Some t -> Printf.sprintf "%.3f" t
-              | None -> "null")
-             r.f_unavail_ms r.f_rate_before r.f_rate_after r.f_ops_after
-             r.f_consistent
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_faults.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_faults.json@."
+      write_rows "BENCH_faults.json"
+        (List.map
+           (fun r ->
+             [
+               ("backend", str r.f_backend);
+               ("protocol", str r.f_protocol);
+               ("scenario", str r.f_scenario);
+               ( "time_to_failover_ms",
+                 match r.f_ttf_ms with Some t -> num 3 t | None -> "null" );
+               ("unavailable_ms", num 2 r.f_unavail_ms);
+               ("rate_before_ops", num 0 r.f_rate_before);
+               ("rate_after_ops", num 0 r.f_rate_after);
+               ("ops_after", int r.f_ops_after);
+               ("consistent", bool r.f_consistent);
+             ])
+           rows))
 
 (* ----- model-checker benchmark -------------------------------------------- *)
 
@@ -1033,8 +633,6 @@ type explore_row = {
   ex_trace_len : int;  (* -1 when the space was clean *)
   ex_shrunk_len : int;
 }
-
-let explore_stats : explore_row list option ref = ref None
 
 let explore ~jobs:_ =
   section "X1. Bounded model checker (schedules x one crash, 3 replicas)"
@@ -1108,89 +706,23 @@ let explore ~jobs:_ =
             (if r.ex_trace_len < 0 then "-" else string_of_int r.ex_trace_len)
             (if r.ex_shrunk_len < 0 then "-" else string_of_int r.ex_shrunk_len))
         rows;
-      explore_stats := Some rows)
-
-let write_explore_json () =
-  match !explore_stats with
-  | None -> ()
-  | Some rows ->
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"rows\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"protocol\": \"%s\", \"outcome\": \"%s\", \"states\": %d, \
-              \"executions\": %d, \"choices_applied\": %d, \"dedup_ratio\": \
-              %.4f, \"sleep_ratio\": %.4f, \"states_per_s\": %.0f, \
-              \"wall_s\": %.3f, \"trace_len\": %d, \"shrunk_len\": %d}%s\n"
-             r.ex_protocol r.ex_outcome r.ex_states r.ex_executions
-             r.ex_choices_applied r.ex_dedup_ratio r.ex_sleep_ratio
-             r.ex_states_per_s r.ex_wall_s r.ex_trace_len r.ex_shrunk_len
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_explore.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_explore.json@."
-
-let json_escape name =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length name) (String.get name)))
-
-let write_bench_json () =
-  match !engine_stats with
-  | None -> ()
-  | Some s ->
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n";
-    Buffer.add_string buf
-      (Printf.sprintf "  \"event_queue_mops\": %.3f,\n" s.evq_mops);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"run_wall_s\": %.4f,\n" s.run_wall_s);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"run_sim_events\": %d,\n" s.run_sim_events);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"run_events_per_sec\": %.0f,\n" s.run_events_per_sec);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"run_alloc_words\": %.0f,\n" s.run_alloc_words);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"alloc_words_per_event\": %.2f,\n"
-         (s.run_alloc_words /. float_of_int s.run_sim_events));
-    Buffer.add_string buf
-      (Printf.sprintf "  \"run_throughput_ops\": %.0f,\n" s.run_throughput);
-    Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" s.jobs);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"batch_wall_s_jobs1\": %.4f,\n" s.batch_wall_j1);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"batch_wall_s_jobsN\": %.4f,\n" s.batch_wall_jn);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"parallel_speedup\": %.3f,\n" s.parallel_speedup);
-    let wall_map key walls close =
-      Buffer.add_string buf (Printf.sprintf "  \"%s\": {\n" key);
-      List.iteri
-        (fun i (name, wall) ->
-          Buffer.add_string buf
-            (Printf.sprintf "    \"%s\": %.4f%s\n" (json_escape name) wall
-               (if i = List.length walls - 1 then "" else ",")))
-        walls;
-      Buffer.add_string buf (Printf.sprintf "  }%s\n" close)
-    in
-    let j1 = List.rev !section_walls_j1 in
-    wall_map "section_wall_s"
-      (List.rev !section_walls)
-      (if j1 = [] then "" else ",");
-    if j1 <> [] then wall_map "section_wall_s_jobs1" j1 "";
-    Buffer.add_string buf "}\n";
-    let oc = open_out "BENCH_engine.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Buffer.contents buf));
-    Format.printf "@.wrote BENCH_engine.json@."
+      write_rows "BENCH_explore.json"
+        (List.map
+           (fun r ->
+             [
+               ("protocol", str r.ex_protocol);
+               ("outcome", str r.ex_outcome);
+               ("states", int r.ex_states);
+               ("executions", int r.ex_executions);
+               ("choices_applied", int r.ex_choices_applied);
+               ("dedup_ratio", num 4 r.ex_dedup_ratio);
+               ("sleep_ratio", num 4 r.ex_sleep_ratio);
+               ("states_per_s", num 0 r.ex_states_per_s);
+               ("wall_s", num 3 r.ex_wall_s);
+               ("trace_len", int r.ex_trace_len);
+               ("shrunk_len", int r.ex_shrunk_len);
+             ])
+           rows))
 
 let metrics ~jobs:_ =
   section "M1. Metrics registry: one instrumented 1Paxos run (Section 4.3)"
@@ -1214,79 +746,6 @@ let metrics ~jobs:_ =
         r.Runner.cores;
       Format.printf "%a" Ci_obs.Metrics.pp r.Runner.metrics)
 
-(* ----- bechamel micro-benchmarks ----------------------------------------- *)
-
-let micro ~jobs:_ =
-  section "Micro-benchmarks (bechamel)"
-    "real-time cost of the simulator building blocks on this host"
-    (fun () ->
-      let open Bechamel in
-      let open Toolkit in
-      let evq_test =
-        Test.make ~name:"event_queue push+pop x100"
-          (Staged.stage (fun () ->
-               let q = Ci_engine.Event_queue.create () in
-               for i = 0 to 99 do
-                 Ci_engine.Event_queue.push q ~time:((i * 7919) mod 100) i
-               done;
-               while not (Ci_engine.Event_queue.is_empty q) do
-                 ignore (Ci_engine.Event_queue.pop q)
-               done))
-      in
-      let rng_test =
-        let rng = Ci_engine.Rng.create ~seed:1 in
-        Test.make ~name:"rng int x100"
-          (Staged.stage (fun () ->
-               for _ = 0 to 99 do
-                 ignore (Ci_engine.Rng.int rng 1000)
-               done))
-      in
-      let sim_test =
-        Test.make ~name:"sim schedule+run x100"
-          (Staged.stage (fun () ->
-               let sim = Ci_engine.Sim.create () in
-               for i = 0 to 99 do
-                 Ci_engine.Sim.schedule sim ~delay:i (fun () -> ())
-               done;
-               Ci_engine.Sim.run sim))
-      in
-      let onepaxos_test =
-        Test.make ~name:"1paxos 1ms sim (3 replicas, 3 clients)"
-          (Staged.stage (fun () ->
-               let spec =
-                 {
-                   (Ci_workload.Runner.default_spec ~protocol:Ci_workload.Runner.Onepaxos
-                      ~placement:
-                        (Ci_workload.Runner.Dedicated { n_replicas = 3; n_clients = 3 }))
-                   with
-                   Ci_workload.Runner.duration = Sim_time.ms 1;
-                   warmup = 0;
-                   drain = 0;
-                 }
-               in
-               ignore (Ci_workload.Runner.run spec)))
-      in
-      let tests =
-        Test.make_grouped ~name:"consensus_inside"
-          [ evq_test; rng_test; sim_test; onepaxos_test ]
-      in
-      let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-      let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-      let ols =
-        Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-      in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Format.printf "%-55s %16s@." "benchmark" "time/run";
-      Hashtbl.iter
-        (fun name ols_result ->
-          let time =
-            match Analyze.OLS.estimates ols_result with
-            | Some (t :: _) -> Printf.sprintf "%.1f ns" t
-            | Some [] | None -> "n/a"
-          in
-          Format.printf "%-55s %16s@." name time)
-        results)
-
 let sections =
   [
     ("netchar", netchar);
@@ -1302,24 +761,15 @@ let sections =
     ("batching", batching);
     ("protocols", protocols);
     ("metrics", metrics);
-    ("engine", engine);
-    ("runtime", runtime);
-    ("codec", codec);
     ("shards", shards);
     ("service", service);
     ("faults", faults);
     ("explore", explore);
-    ("micro", micro);
   ]
 
-(* Sections whose runs are fanned out over the pool — the ones worth
-   re-timing at jobs=1 for the comparison table. metrics/engine/micro
-   time themselves differently (single runs or self-calibrating). *)
-let serial_only =
-  [
-    "metrics"; "engine"; "runtime"; "codec"; "shards"; "service"; "faults";
-    "explore"; "micro";
-  ]
+(* Sections not worth re-timing at jobs=1 for the comparison table:
+   single runs, live wall-clock runs and the model checker. *)
+let serial_only = [ "metrics"; "shards"; "service"; "faults"; "explore" ]
 
 let print_jobs_table ~jobs =
   let j1 = List.rev !section_walls_j1 in
@@ -1394,11 +844,4 @@ let () =
       requested;
     walls_sink := section_walls;
     print_jobs_table ~jobs:!jobs
-  end;
-  write_bench_json ();
-  write_runtime_json ();
-  write_codec_json ();
-  write_shards_json ();
-  write_service_json ();
-  write_faults_json ();
-  write_explore_json ()
+  end

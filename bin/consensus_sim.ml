@@ -210,6 +210,8 @@ let protocol_arg = Arg.(value & opt protocol_conv Protocol.Onepaxos & info [ "p"
 let groups = Arg.(value & opt int 1 & info [ "g"; "groups" ] ~doc:"Consensus groups the keyspace is sharded over (1paxos or multipaxos), each with its own replicas plus a router; fault node indices range over $(b,groups * replicas) group-major replicas.")
 let cross_shard = Arg.(value & opt float 0. & info [ "cross-shard-ratio" ] ~doc:"Fraction of commands that are cross-shard multi-puts (2PC over the owning groups).")
 let metrics_out = Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc:"Write the run's metrics registry as a flat JSON object to $(docv).")
+let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica count (per group when $(b,--groups) > 1).")
+let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed: per-node streams, client and driver draws and a fault schedule's coin flips all derive from it.")
 
 let write_file path contents =
   Out_channel.with_open_text path (fun oc -> output_string oc contents);
@@ -218,12 +220,10 @@ let write_file path contents =
 (* ----- run ---------------------------------------------------------------- *)
 
 let run_cmd =
-  let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica count (per group when $(b,--groups) > 1).") in
   let clients = Arg.(value & opt int 5 & info [ "c"; "clients" ] ~doc:"Client count (dedicated mode).") in
   let joint = Arg.(value & flag & info [ "joint" ] ~doc:"Joint deployment: every node is replica and client; $(b,--replicas) sets the node count.") in
   let duration = Arg.(value & opt int 50 & info [ "d"; "duration-ms" ] ~doc:"Measurement window (ms).") in
   let warmup = Arg.(value & opt int 5 & info [ "warmup-ms" ] ~doc:"Warm-up before measuring (ms).") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let read_ratio = Arg.(value & opt float 0. & info [ "read-ratio" ] ~doc:"Fraction of read commands.") in
   let think = Arg.(value & opt int 0 & info [ "think-us" ] ~doc:"Client think time (us).") in
   let timeout = Arg.(value & opt int 2000 & info [ "timeout-us" ] ~doc:"Client retry timeout (us).") in
@@ -316,11 +316,9 @@ let run_cmd =
 (* ----- live ---------------------------------------------------------------- *)
 
 let live_cmd =
-  let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica domains (per group when $(b,--groups) > 1).") in
   let clients = Arg.(value & opt int 2 & info [ "c"; "clients" ] ~doc:"Client domains.") in
   let duration = Arg.(value & opt float 1.0 & info [ "d"; "duration-s" ] ~doc:"Measured wall-clock phase (seconds).") in
   let drain = Arg.(value & opt float 0.2 & info [ "drain-s" ] ~doc:"Quiesce phase before stopping the domains (seconds).") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed (per-node streams derive from it).") in
   let slots = Arg.(value & opt int 64 & info [ "ring-cap"; "queue-slots" ] ~doc:"Ring capacity per ordered node pair, in slots. Raising it relieves full-ring back-pressure (see the per-node full-ring sends the run prints).") in
   let slot_size = Arg.(value & opt int 128 & info [ "slot-size" ] ~doc:"Bytes per ring slot — a power of two, at least 32. Every non-batch message fits one 128-byte slot; batch messages spill over consecutive slots.") in
   let timeout = Arg.(value & opt int 150 & info [ "timeout-ms" ] ~doc:"Client retry timeout (ms). Keep generous on oversubscribed hosts.") in
@@ -397,7 +395,6 @@ let load_cmd =
   let backend =
     Arg.(value & opt backend_conv `Sim & info [ "backend" ] ~doc:"Backend: $(b,sim) (discrete-event simulator, deterministic) or $(b,live) (the live runtime, over $(b,--transport)).")
   in
-  let replicas = Arg.(value & opt int 3 & info [ "r"; "replicas" ] ~doc:"Replica count.") in
   let clients = Arg.(value & opt int 2 & info [ "c"; "clients" ] ~doc:"Driver count: one open-loop driver per client node; total offered load is $(b,--rate) times this.") in
   let rate = Arg.(value & opt float 50_000. & info [ "rate" ] ~doc:"Offered rate per driver (requests/second).") in
   let poisson = Arg.(value & flag & info [ "poisson" ] ~doc:"Poisson arrivals (exponential gaps) instead of the fixed-rate metronome.") in
@@ -437,7 +434,6 @@ let load_cmd =
   let lease_skew_us = Arg.(value & opt int 0 & info [ "lease-skew-us" ] ~doc:"Clock-rate-skew margin (us) subtracted from every grant's validity at the leader; must be < $(b,--lease-us).") in
   let duration = Arg.(value & opt int 50 & info [ "d"; "duration-ms" ] ~doc:"Measurement window (ms).") in
   let warmup = Arg.(value & opt int 5 & info [ "warmup-ms" ] ~doc:"Warm-up before measuring (ms; simulator backend only).") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed (arrival gaps and key draws derive from it).") in
   (* Print the pooled sink and the consistency verdict; exit 1 on a
      violation or a stale session read. *)
   let report ~offered ~lease ~lease_reads consistency load =
@@ -567,12 +563,6 @@ let nemesis_cmd =
       & info [ "backend" ]
           ~doc:"Backend: $(b,sim) (virtual time) or $(b,live) (the live runtime, over $(b,--transport)).")
   in
-  let replicas =
-    Arg.(
-      value & opt int 3
-      & info [ "r"; "replicas" ]
-          ~doc:"Replica count (per group when $(b,--groups) > 1).")
-  in
   let clients =
     Arg.(
       value & opt (some int) None
@@ -583,12 +573,6 @@ let nemesis_cmd =
       value & opt (some int) None
       & info [ "d"; "duration-ms" ]
           ~doc:"Measurement window in ms (default: 50 sim, 1200 live).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ]
-          ~doc:"Random seed; also feeds the schedule's drop/duplicate coin flips.")
   in
   let scenario =
     Arg.(

@@ -633,17 +633,23 @@ let socket_child spec ~n ~id ~t0 ~fds ~ctl_fd =
   in
   let stop = Atomic.make false in
   let quiesce = Atomic.make false in
-  Unix.set_nonblock ctl_fd;
   let ctl_buf = Bytes.create 1 in
+  let ctl_fds = [ ctl_fd ] in
+  (* A zero-timeout select first: the idle poll reads nothing and raises
+     nothing, and a ready fd's read cannot block. *)
   let ctl () =
-    match Unix.read ctl_fd ctl_buf 0 1 with
-    | 0 -> Atomic.set stop true (* parent died: shut down *)
+    match Unix.select ctl_fds [] [] 0. with
+    | [], _, _ -> ()
     | _ -> (
-      match Bytes.get ctl_buf 0 with
-      | 'q' -> Atomic.set quiesce true
-      | 's' -> Atomic.set stop true
-      | _ -> ())
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+      match Unix.read ctl_fd ctl_buf 0 1 with
+      | 0 -> Atomic.set stop true (* parent died: shut down *)
+      | _ -> (
+        match Bytes.get ctl_buf 0 with
+        | 'q' -> Atomic.set quiesce true
+        | 's' -> Atomic.set stop true
+        | _ -> ())
+      | exception Unix.Unix_error (EINTR, _, _) -> ())
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
   in
   let d = deploy ~node:id spec ~state:(fun _ -> st) ~t0 ~quiesce in
   let m_work = Metrics.counter (Metrics.create ()) "live.events" in
@@ -656,7 +662,6 @@ let socket_child spec ~n ~id ~t0 ~fds ~ctl_fd =
       (List.hd (Deployment.reports d))
       ~events:(Metrics.counter_value m_work)
   in
-  Unix.clear_nonblock ctl_fd;
   let oc = Unix.out_channel_of_descr ctl_fd in
   Marshal.to_channel oc report [ Marshal.Closures ];
   flush oc

@@ -17,12 +17,20 @@ type peer = {
   mutable closed : bool;
 }
 
+(* [live] holds the open peers' fds, the one [select] set of [drain];
+   it is rebuilt when [stale] says a peer has closed since. *)
+type sockets = {
+  peers : peer option array;
+  mutable live : Unix.file_descr list;
+  mutable stale : bool;
+}
+
 type kind =
   | Rings of {
       inqs : Spsc_bytes.t option array; (* indexed by src *)
       outqs : Spsc_bytes.t option array; (* indexed by dst *)
     }
-  | Socket of { peers : peer option array }
+  | Socket of sockets
 
 type t = {
   id : int;
@@ -90,7 +98,8 @@ let socket_endpoint ~id ~fds ~outbox_cap =
             })
       fds
   in
-  make ~id ~n:(Array.length fds) ~outbox_cap (Socket { peers })
+  make ~id ~n:(Array.length fds) ~outbox_cap
+    (Socket { peers; live = []; stale = true })
 
 (* ---------- socket plumbing ---------- *)
 
@@ -207,8 +216,8 @@ let send t ~dst msg =
     | Some q ->
       if Queue.is_empty t.outbox.(dst) && Spsc_bytes.try_push q msg then ()
       else park t ~dst msg)
-  | Socket { peers } -> (
-    match peers.(dst) with
+  | Socket s -> (
+    match s.peers.(dst) with
     | None -> invalid_arg "Transport.send: no link to destination"
     | Some p ->
       if Queue.is_empty t.outbox.(dst) && sock_try_send p msg then
@@ -257,7 +266,7 @@ let rec flush_socks t peers dst acc =
 let flush t =
   match t.kind with
   | Rings { outqs; _ } -> flush_rings t outqs 0 0
-  | Socket { peers } -> flush_socks t peers 0 0
+  | Socket s -> flush_socks t s.peers 0 0
 
 let rec drain_ring q f ~src budget acc =
   if budget <= 0 then acc
@@ -281,22 +290,42 @@ let rec drain_rings t inqs f src acc =
     in
     drain_rings t inqs f (src + 1) acc
 
-let rec drain_socks t peers f src acc =
+(* Reads only the peers in [ready]. Every complete frame is delivered
+   right after its read, so a peer that is not readable has nothing
+   left to deliver. A peer found closed marks the [live] set stale. *)
+let rec drain_socks t s ready f src acc =
   if src >= t.n then acc
   else
     let acc =
-      match peers.(src) with
-      | None -> acc
-      | Some p ->
+      match s.peers.(src) with
+      | Some p when List.memq p.fd ready ->
         sock_read p;
+        if p.closed then s.stale <- true;
         sock_deliver p f ~src acc
+      | _ -> acc
     in
-    drain_socks t peers f (src + 1) acc
+    drain_socks t s ready f (src + 1) acc
+
+(* One zero-timeout [select] over the open peers, so that an idle peer
+   costs neither a syscall of its own nor an EAGAIN exception. *)
+let drain_sockets t s f =
+  if s.stale then begin
+    s.live <-
+      Array.fold_right
+        (fun p acc ->
+          match p with Some p when not p.closed -> p.fd :: acc | _ -> acc)
+        s.peers [];
+    s.stale <- false
+  end;
+  match Unix.select s.live [] [] 0. with
+  | [], _, _ -> 0
+  | ready, _, _ -> drain_socks t s ready f 0 0
+  | exception Unix.Unix_error (EINTR, _, _) -> 0
 
 let drain t f =
   match t.kind with
   | Rings { inqs; _ } -> drain_rings t inqs f 0 0
-  | Socket { peers } -> drain_socks t peers f 0 0
+  | Socket s -> drain_sockets t s f
 
 let clear_outboxes t = Array.iter Queue.clear t.outbox
 

@@ -26,9 +26,11 @@
       processes, frames length-prefixed (4-byte LE) with
       {!Ci_consensus.Codec} as the wire format — the same protocol
       cores on separate processes, the paper's machine-to-machine
-      comparison point. Failure semantics: a peer that disappears
-      reads as EOF/[EPIPE]; pending traffic to it is shed and counted
-      like any over-cap outbox. *)
+      comparison point. [drain] makes one zero-timeout [select] over
+      the open peers and reads only those that are ready, so an idle
+      peer costs neither a syscall nor an exception. Failure
+      semantics: a peer that disappears reads as EOF/[EPIPE]; pending
+      traffic to it is shed and counted like any over-cap outbox. *)
 
 type t
 

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Developer pre-flight: clean build (warnings fatal), quick tests, the
-# perfbench smoke, the engine self-benchmark, and the single- vs
-# multi-domain paths of the parallel experiment runner. The full
-# adversarial suite is `dune runtest`.
+# perfbench smoke, the single- vs multi-domain paths of the parallel
+# experiment runner, and the shape of the committed BENCH_*.json
+# artifacts. The full adversarial suite is `dune runtest`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -18,12 +18,6 @@ echo "== perfbench smoke (every workload, traced and untraced, ~15s) =="
 # (consistency violation, stale read, failed op, broken 5/10-message
 # loopback count).
 python3 perfbench/run.py --smoke
-
-echo "== engine self-benchmark, jobs=2 (writes BENCH_engine.json) =="
-# --jobs 2 makes the engine section's fixed batch take both the
-# single-domain (jobs=1) and multi-domain (jobs=2) paths and assert
-# the results are identical.
-dune exec bench/main.exe -- engine --jobs 2
 
 echo "== figures byte-identity across --jobs (1 vs 3) =="
 tmp1=$(mktemp) && tmp3=$(mktemp)
@@ -145,51 +139,70 @@ dune exec bin/consensus_sim.exe -- explore -p multi-paxos \
   --fires 0 --crashes 1 --commands 1 --max-depth 48 \
   | grep -q '^outcome=exhausted$'
 
-echo "== BENCH_explore.json sanity (committed artifact of 'bench explore') =="
-# Regenerated by `dune exec bench/main.exe -- explore`; here we only
-# check the committed artifact parses and has the promised shape: the
-# two crash-tolerant protocols exhausted with nonzero reduction ratios,
-# and 2PC convicted and shrunk to the single-crash counterexample.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import json
-rows = json.load(open("BENCH_explore.json"))["rows"]
-keys = ["protocol", "outcome", "states", "executions", "choices_applied",
-        "dedup_ratio", "sleep_ratio", "states_per_s", "trace_len", "shrunk_len"]
-by = {r["protocol"]: r for r in rows}
-for k in keys:
-    assert all(k in r for r in rows), f"missing key {k}"
-for p in ("1paxos", "multipaxos"):
-    assert by[p]["outcome"] == "exhausted", f"{p} did not exhaust"
-    assert by[p]["dedup_ratio"] > 0, f"{p}: dedup never pruned"
-    assert by[p]["sleep_ratio"] > 0, f"{p}: sleep sets never pruned"
-assert by["2pc"]["outcome"] == "violated", "2pc escaped its known violation"
-assert by["2pc"]["shrunk_len"] == 1, "2pc counterexample not 1-minimal"
-print(f"BENCH_explore.json: {len(rows)} rows, ok")
-EOF
-else
-  echo "python3 unavailable; skipping JSON validation"
-fi
-
-echo "== BENCH_service.json sanity (committed artifact of 'bench service') =="
-# The service curves are regenerated by `dune exec bench/main.exe --
-# service`; here we only check the committed artifact parses and has
-# the promised shape: >=4 load points per backend x curve, both
-# backends, at least one flagged knee.
+echo "== BENCH_*.json sanity (committed artifacts of bench/main.exe) =="
+# Regenerated by `dune exec bench/main.exe -- shards service faults
+# explore`; here we only check that each committed artifact parses,
+# carries the commit/cores/ocaml stamp and has the promised shape.
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import collections, json
-rows = json.load(open("BENCH_service.json"))["rows"]
-keys = ["backend", "curve", "offered_ops", "achieved_ops", "p50_us",
-        "p99_us", "p999_us", "service_p99_us", "lease_reads", "knee"]
-assert rows, "no rows"
-for k in keys:
-    assert all(k in r for r in rows), f"missing key {k}"
-assert {r["backend"] for r in rows} == {"sim", "live"}, "need both backends"
-points = collections.Counter((r["backend"], r["curve"]) for r in rows)
-assert all(v >= 4 for v in points.values()), f"need >=4 points/curve: {points}"
-assert any(r["knee"] for r in rows), "no knee flagged"
-print(f"BENCH_service.json: {len(rows)} rows over {len(points)} curves, ok")
+
+def shards(rows):
+    assert all(r["consistent"] for r in rows), "inconsistent row"
+    assert all(r["atomic"] for r in rows), "non-atomic row"
+    return "all consistent and atomic"
+
+def service(rows):
+    # >=4 load points per backend x curve, both backends, a knee.
+    assert {r["backend"] for r in rows} == {"sim", "live"}, "need both backends"
+    points = collections.Counter((r["backend"], r["curve"]) for r in rows)
+    assert all(v >= 4 for v in points.values()), f"need >=4 points/curve: {points}"
+    assert any(r["knee"] for r in rows), "no knee flagged"
+    return f"{len(points)} curves"
+
+def faults(rows):
+    # Every crash is survived: consistent, and committing again.
+    assert all(r["consistent"] for r in rows), "inconsistent row"
+    assert all(r["time_to_failover_ms"] is not None and r["ops_after"] > 0
+               for r in rows), "a row never recovered"
+    return "all consistent and recovered"
+
+def explore(rows):
+    # The crash-tolerant protocols exhaust with nonzero reduction
+    # ratios; 2PC is convicted and shrunk to the one-crash trace.
+    by = {r["protocol"]: r for r in rows}
+    for p in ("1paxos", "multipaxos"):
+        assert by[p]["outcome"] == "exhausted", f"{p} did not exhaust"
+        assert by[p]["dedup_ratio"] > 0, f"{p}: dedup never pruned"
+        assert by[p]["sleep_ratio"] > 0, f"{p}: sleep sets never pruned"
+    assert by["2pc"]["outcome"] == "violated", "2pc escaped its known violation"
+    assert by["2pc"]["shrunk_len"] == 1, "2pc counterexample not 1-minimal"
+    return "verdicts as expected"
+
+checks = {
+    "shards": (["protocol", "groups", "ops", "throughput_ops",
+                "cross_shard_committed", "cross_shard_aborted",
+                "alloc_words_per_op", "consistent", "atomic"], shards),
+    "service": (["backend", "curve", "offered_ops", "achieved_ops", "p50_us",
+                 "p99_us", "p999_us", "service_p99_us", "lease_reads",
+                 "knee"], service),
+    "faults": (["backend", "protocol", "scenario", "time_to_failover_ms",
+                "unavailable_ms", "rate_before_ops", "rate_after_ops",
+                "ops_after", "consistent"], faults),
+    "explore": (["protocol", "outcome", "states", "executions",
+                 "choices_applied", "dedup_ratio", "sleep_ratio",
+                 "states_per_s", "trace_len", "shrunk_len"], explore),
+}
+for name, (keys, check) in checks.items():
+    path = f"BENCH_{name}.json"
+    doc = json.load(open(path))
+    for k, t in (("commit", str), ("cores", int), ("ocaml", str)):
+        assert isinstance(doc.get(k), t) and doc[k], f"{path}: bad {k} stamp"
+    rows = doc["rows"]
+    assert rows, f"{path}: no rows"
+    for k in keys:
+        assert all(k in r for r in rows), f"{path}: missing key {k}"
+    print(f"{path}: {len(rows)} rows, {check(rows)}, ok")
 EOF
 else
   echo "python3 unavailable; skipping JSON validation"

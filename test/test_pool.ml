@@ -111,12 +111,13 @@ let test_parallel_runs_match_serial () =
 
 (* ----- allocation regression guard ---------------------------------------- *)
 
-(* The engine self-benchmark's fixed run sat at ~58 words/event before
-   the hot-path allocation diet (BENCH_engine.json baseline:
-   10712473 words / 183436 events); the diet's acceptance floor is a
-   >= 25% reduction, i.e. <= 44. Measured after: ~37. The budget leaves
-   headroom for GC jitter while still failing if a boxing regression
-   sneaks back into the per-event path. *)
+(* This reference run (1Paxos, 3 replicas, 13 clients, 50 ms) sat at
+   ~58 words/event before the hot-path allocation diet (10712473 words
+   / 183436 events); the diet's acceptance floor is a >= 25% reduction,
+   i.e. <= 44. Measured after: ~37. perfbench's
+   sim.alloc_words_per_event tracks the same cost with its spread. The
+   budget leaves headroom for GC jitter while still failing if a boxing
+   regression sneaks back into the per-event path. *)
 let test_alloc_words_per_event_budget () =
   let spec =
     Runner.default_spec ~protocol:Runner.Onepaxos
