@@ -1,4 +1,5 @@
-(** Shared measurement sink for one simulation run. *)
+(** The closed loop's measurement sink: every completed request of a
+    run, in completion order. *)
 
 type sample = { intended_at : int; sent_at : int; replied_at : int }
 (** One completed request: scheduled arrival, first transmission and
@@ -8,7 +9,8 @@ type sample = { intended_at : int; sent_at : int; replied_at : int }
     fell behind its own schedule. *)
 
 type t
-(** A mutable collector shared by all clients of a run. *)
+(** A mutable collector, shared by all drivers of a run or one per
+    driver. *)
 
 val create : bucket:int -> t
 (** [create ~bucket] is an empty collector; commits are also counted

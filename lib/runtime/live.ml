@@ -4,9 +4,8 @@ module Sim_time = Ci_engine.Sim_time
 module Rng = Ci_engine.Rng
 module Consistency = Ci_rsm.Consistency
 module Protocol = Ci_consensus.Protocol
-module Client = Ci_workload.Client
 module Deployment = Ci_workload.Deployment
-module Run_stats = Ci_workload.Run_stats
+module Run_stats = Ci_load.Run_stats
 module Metrics = Ci_obs.Metrics
 module Summary = Ci_stats.Summary
 module Atomicity = Ci_rsm.Atomicity
@@ -180,11 +179,10 @@ let config spec =
     replicas = spec.n_replicas;
     clients = spec.n_clients;
     joint = false;
-    policy =
+    timeout = spec.client_timeout;
+    closed_loop =
       {
-        (Client.default_policy ~targets:[||]) with
-        Client.timeout = spec.client_timeout;
-        think = spec.think;
+        Ci_load.Open_client.think = spec.think;
         read_ratio = spec.read_ratio;
         cross_shard_ratio = spec.cross_shard_ratio;
         key_space = spec.key_space;

@@ -89,12 +89,12 @@ type spec = {
           validity at the leader; must be < [lease] when leases are
           on. *)
   open_loop : Ci_workload.Runner.open_loop option;
-      (** When set, client domains run open-loop {!Ci_load.Open_client}
-          drivers instead of closed-loop clients: arrivals follow the
+      (** When set, the client domains' {!Ci_load.Open_client} drivers
+          run an open loop instead of a closed one: arrivals follow the
           offered schedule for the measured phase, latency is measured
           from the intended arrival, and the per-driver sinks are pooled
-          into [result.load]. [think], [read_ratio] and [key_space] are
-          ignored. *)
+          into [result.load]. [think], [read_ratio], [cross_shard_ratio]
+          and [key_space] are ignored. *)
   nemesis : Ci_faults.t;
       (** Declarative fault schedule ({!Ci_faults.empty} by default).
           Crash and pause transitions are evaluated by each replica

@@ -5,9 +5,10 @@ module Wire = Ci_consensus.Wire
 module Replica_core = Ci_consensus.Replica_core
 module Open_client = Ci_load.Open_client
 module Load_stats = Ci_load.Load_stats
+module Run_stats = Ci_load.Run_stats
 module Metrics = Ci_obs.Metrics
 
-type open_loop = {
+type open_loop = Open_client.open_loop = {
   arrival : Ci_load.Arrival.spec;
   key_dist : Ci_load.Key_dist.spec;
   key_space : int;
@@ -35,7 +36,8 @@ type config = {
   replicas : int;
   clients : int;
   joint : bool;
-  policy : Client.policy;
+  timeout : int;
+  closed_loop : Open_client.closed_loop;
   open_loop : open_loop option;
   window : int * int;
   bucket : int;
@@ -77,40 +79,30 @@ let primary c k =
   else if Protocol.leaderless c.protocol then k mod c.replicas
   else 0
 
-let policy c k =
-  {
-    c.policy with
-    Client.targets = targets c;
-    primary = primary c k;
-    failover = Protocol.client_failover c.protocol;
-    groups = c.groups;
-    relaxed_reads = c.knobs.Protocol.relaxed_reads;
-    read_own_node =
-      c.joint && (c.knobs.Protocol.local_reads || c.knobs.Protocol.relaxed_reads);
-  }
-
-let driver_config c ol k =
+(* Client [k]'s driver: the workload inputs, placed by the layout and
+   the protocol. An open loop stops arriving at the window's end; a
+   closed loop runs until the backend stops delivering. *)
+let driver_config c k =
   {
     Open_client.targets = targets c;
     primary = primary c k;
     failover = Protocol.client_failover c.protocol;
-    timeout = c.policy.Client.timeout;
-    arrival = ol.arrival;
-    key_dist = ol.key_dist;
-    key_space = ol.key_space;
-    mix = ol.mix;
-    range_span = ol.range_span;
-    population = ol.population;
-    sessions = ol.sessions;
+    timeout = c.timeout;
     relaxed_reads = c.knobs.Protocol.relaxed_reads;
-    stop_at = snd c.window;
+    read_own_node =
+      c.joint && (c.knobs.Protocol.local_reads || c.knobs.Protocol.relaxed_reads);
+    groups = c.groups;
+    stop_at = (if Option.is_none c.open_loop then max_int else snd c.window);
+    loop =
+      (match c.open_loop with
+      | Some ol -> Open_client.Open ol
+      | None -> Open_client.Closed c.closed_loop);
   }
 
 let validate ~who ~nemesis c =
   let fail m = invalid_arg (who ^ ": " ^ m) in
-  let k = c.knobs and p = c.policy in
+  let k = c.knobs in
   let name = Protocol.to_string c.protocol in
-  let in_unit x = x >= 0. && x <= 1. in
   let crash_pause =
     Ci_faults.crashes nemesis <> [] || Ci_faults.pauses nemesis <> []
   in
@@ -120,16 +112,11 @@ let validate ~who ~nemesis c =
       (c.replicas < 1, "need at least one replica");
       ((not c.joint) && c.clients < 1, "need clients");
       (c.groups < 1, "groups must be >= 1");
-      (not (in_unit p.Client.cross_shard_ratio), "cross_shard_ratio must be in [0, 1]");
       ( c.groups > 1 && not (Protocol.shardable c.protocol),
         "groups > 1 requires a shardable protocol (1paxos or multipaxos)" );
       (c.groups > 1 && c.joint, "groups > 1 requires dedicated placement");
       ( c.groups > 1 && k.Protocol.relaxed_reads,
         "relaxed reads are not routed across shards" );
-      (p.Client.timeout <= 0, "client timeout must be > 0");
-      (p.Client.think < 0, "think must be >= 0");
-      (not (in_unit p.Client.read_ratio), "read_ratio must be in [0, 1]");
-      (p.Client.key_space < 1, "key_space must be >= 1");
       (k.Protocol.batch < 1, "batch must be >= 1");
       (k.Protocol.batch_delay < 0, "batch_delay must be >= 0");
       (k.Protocol.window < 0, "pipeline must be >= 0");
@@ -151,27 +138,21 @@ let validate ~who ~nemesis c =
         "nemesis crash/pause requires a protocol with crash-recovery (got " ^ name
         ^ ")" );
     ];
-  Option.iter
-    (fun ol ->
-      try Open_client.validate_config (driver_config c ol 0)
-      with Invalid_argument m -> fail m)
-    c.open_loop
+  Open_client.validate_config ~who (driver_config c 0)
 
 (* ---------- building ---------- *)
 
 type handler = src:int -> Wire.t -> unit
 
-(* Node [id]'s roles; [stats] and [sink] are the sinks it reports (a
-   shared sink is reported by the first client node only). *)
+(* Node [id]'s roles; [sink] is the sink it reports (a shared sink is
+   reported by the first client node only). *)
 type node = {
   id : int;
   mutable replica : Protocol.replica option;
   mutable participant : Twopc.Participant.p option;
   mutable router : Shard.Router.t option;
-  mutable client : Client.t option;
   mutable driver : Open_client.t option;
-  mutable stats : Run_stats.t option;
-  mutable sink : Load_stats.t option;
+  mutable sink : Open_client.sink option;
 }
 
 type t = { install : int -> handler -> unit; nodes : node list }
@@ -181,15 +162,14 @@ let handler n : handler =
   | { replica = Some r; participant = Some p; _ } ->
     fun ~src msg ->
       if not (Twopc.Participant.handle p ~src msg) then r.Protocol.handle ~src msg
-  | { replica = Some r; client = Some c; _ } -> (
-    (* Joint node: replies are the client's, the rest the replica's. *)
+  | { replica = Some r; driver = Some d; _ } -> (
+    (* Joint node: replies are the driver's, the rest the replica's. *)
     fun ~src msg ->
       match msg with
-      | Wire.Reply _ -> Client.handle c ~src msg
+      | Wire.Reply _ -> Open_client.handle d ~src msg
       | _ -> r.Protocol.handle ~src msg)
   | { replica = Some r; _ } -> r.Protocol.handle
   | { router = Some r; _ } -> Shard.Router.handle r
-  | { client = Some c; _ } -> Client.handle c
   | { driver = Some d; _ } -> Open_client.handle d
   | _ -> fun ~src:_ _ -> ()
 
@@ -203,22 +183,20 @@ let build ?node c ~env ~install =
              replica = None;
              participant = None;
              router = None;
-             client = None;
              driver = None;
-             stats = None;
              sink = None;
            })
   in
-  let sinks () =
-    ( Run_stats.create ~bucket:c.bucket,
-      Option.map
-        (fun _ -> Load_stats.create ~from_:(fst c.window) ~until_:(snd c.window))
-        c.open_loop )
+  let new_sink () =
+    match c.open_loop with
+    | None -> Open_client.Samples (Run_stats.create ~bucket:c.bucket)
+    | Some _ ->
+      Open_client.Histograms (Load_stats.create ~from_:(fst c.window) ~until_:(snd c.window))
   in
-  let shared = lazy (sinks ()) in
+  let shared = lazy (new_sink ()) in
   let phase f = List.iter (fun n -> List.iter (f n) (roles c n.id)) nodes in
-  (* Replicas, then clients or drivers: the order in which the
-     simulator's shared random stream has always been split. *)
+  (* Replicas, then drivers: the order in which the simulator's shared
+     random stream has always been split. *)
   phase (fun n -> function
     | Replica { group; _ } ->
       n.replica <-
@@ -226,18 +204,9 @@ let build ?node c ~env ~install =
     | Router _ | Load _ -> ());
   phase (fun n -> function
     | Load { index = k } ->
-      let stats, sink = if c.shared_sinks then Lazy.force shared else sinks () in
-      (match (c.open_loop, sink) with
-      | Some ol, Some sink ->
-        n.driver <-
-          Some
-            (Open_client.create ~env:(env n.id) ~config:(driver_config c ol k)
-               ~stats:sink)
-      | _ -> n.client <- Some (Client.create ~env:(env n.id) ~policy:(policy c k) ~stats));
-      if k = 0 || not c.shared_sinks then begin
-        n.stats <- Some stats;
-        n.sink <- sink
-      end
+      let sink = if c.shared_sinks then Lazy.force shared else new_sink () in
+      n.driver <- Some (Open_client.create ~env:(env n.id) ~config:(driver_config c k) ~sink);
+      if k = 0 || not c.shared_sinks then n.sink <- Some sink
     | Replica _ | Router _ -> ());
   phase (fun n -> function
     | Replica { participant = true; _ } ->
@@ -250,7 +219,7 @@ let build ?node c ~env ~install =
                {
                  Shard.Router.groups = c.groups;
                  leader_of = Array.init c.groups (fun g -> g * c.replicas);
-                 retry_timeout = c.policy.Client.timeout;
+                 retry_timeout = c.timeout;
                })
     | Replica _ | Load _ -> ());
   List.iter (fun n -> install n.id (handler n)) nodes;
@@ -261,7 +230,6 @@ let start ?node t =
     List.iter (fun n -> if node = None || node = Some n.id then f n) t.nodes
   in
   each (fun n -> Option.iter (fun r -> r.Protocol.start ()) n.replica);
-  each (fun n -> Option.iter Client.start n.client);
   each (fun n -> Option.iter Open_client.start n.driver)
 
 let crash t i =
@@ -278,11 +246,8 @@ let crash t i =
 let sum t f = List.fold_left (fun acc n -> acc + f n) 0 t.nodes
 let count f = Option.fold ~none:0 ~some:f
 
-let replies t =
-  sum t (fun n -> count Run_stats.completed n.stats + count Load_stats.completed n.sink)
-
-let retries t =
-  sum t (fun n -> count Client.retries n.client + count Load_stats.retries n.sink)
+let replies t = sum t (fun n -> count Open_client.completed n.driver)
+let retries t = sum t (fun n -> count Open_client.retries n.driver)
 
 (* ---------- reports ---------- *)
 
@@ -299,9 +264,8 @@ type report = {
   sources : Run_check.source list;
   txns : Ci_rsm.Atomicity.txn list;
   routed : (int * int * int) option;  (** forwarded, committed, aborted *)
-  client_retries : int;
-  stats : Run_stats.t option;
-  sink : Load_stats.t option;
+  retries : int;
+  sink : Open_client.sink option;
 }
 
 let report (n : node) =
@@ -322,7 +286,6 @@ let report (n : node) =
     sources =
       List.filter_map Fun.id
         [
-          Option.map Run_check.of_client n.client;
           Option.map Run_check.of_driver n.driver;
           Option.map (Run_check.of_participant ~node:n.id) n.participant;
         ];
@@ -332,8 +295,7 @@ let report (n : node) =
         (fun r ->
           (Shard.Router.forwarded r, Shard.Router.committed r, Shard.Router.aborted r))
         n.router;
-    client_retries = count Client.retries n.client;
-    stats = n.stats;
+    retries = count Open_client.retries n.driver;
     sink = n.sink;
   }
 
@@ -404,14 +366,15 @@ let assemble c ~nemesis ~prefix ~metrics ~until_ ~faults:(dropped, duplicated)
   (* Lease, load and fault keys exist only when the feature is on, so
      default-spec metric dumps are unchanged. *)
   if c.knobs.Protocol.lease > 0 then set_int "lease.reads" lease_reads;
+  let sinks = List.filter_map (fun (r : report) -> r.sink) reports in
   let stats =
     pool
       (fun () -> Run_stats.create ~bucket:c.bucket)
       Run_stats.merge
-      (List.filter_map (fun (r : report) -> r.stats) reports)
+      (List.filter_map (function Open_client.Samples s -> Some s | _ -> None) sinks)
   in
   let load =
-    match List.filter_map (fun (r : report) -> r.sink) reports with
+    match List.filter_map (function Open_client.Histograms s -> Some s | _ -> None) sinks with
     | [] -> None
     | sinks ->
       Some
@@ -457,9 +420,7 @@ let assemble c ~nemesis ~prefix ~metrics ~until_ ~faults:(dropped, duplicated)
     acceptor_changes_sum = sum ac;
     lease_reads;
     retained = Array.of_list (List.filter_map (fun (r : replica_report) -> r.retained) reps);
-    retries =
-      List.fold_left (fun a r -> a + r.client_retries) 0 reports
-      + Option.fold ~none:0 ~some:Load_stats.retries load;
+    retries = List.fold_left (fun a (r : report) -> a + r.retries) 0 reports;
     stats;
     load;
     timeline = timeline_of completions ~until_;

@@ -10,11 +10,11 @@
     group [g] is nodes [g*R .. g*R+R-1], led by its first node (the
     entry replica). A sharded run ([groups > 1]) then has one router per
     group, and a 2PC participant in front of each entry replica. Client
-    nodes come last, each running a closed-loop {!Client} or an
-    open-loop {!Ci_load.Open_client} driver. A joint deployment hosts
-    client [i] on replica node [i]. *)
+    nodes come last, each running one {!Ci_load.Open_client} driver,
+    closed- or open-loop. A joint deployment hosts client [i] on replica
+    node [i]. *)
 
-type open_loop = {
+type open_loop = Ci_load.Open_client.open_loop = {
   arrival : Ci_load.Arrival.spec;
       (** Offered load {e per driver node}: the total is [rate × clients]. *)
   key_dist : Ci_load.Key_dist.spec;
@@ -37,25 +37,26 @@ type config = {
   replicas : int;  (** Per group. *)
   clients : int;  (** Client nodes; [= replicas] when [joint]. *)
   joint : bool;
-  policy : Client.policy;
-      (** The closed-loop workload. Its [timeout] is also the drivers'
-          and routers'; targets, primary, failover, groups and the read
-          flags are set per client from the layout and the protocol. *)
-  open_loop : open_loop option;  (** Drivers instead of clients. *)
+  timeout : int;  (** The drivers' and routers' retry timeout (ns). *)
+  closed_loop : Ci_load.Open_client.closed_loop;
+      (** The workload unless [open_loop] is set. Targets, fail-over and
+          the read flags are set per driver from the layout and the
+          protocol. *)
+  open_loop : open_loop option;  (** Open-loop drivers instead. *)
   window : int * int;
       (** The measured phase: open-loop sinks count inside it and
           drivers stop arriving at its end. *)
-  bucket : int;  (** {!Run_stats} time-series bucket (ns). *)
+  bucket : int;  (** {!Ci_load.Run_stats} time-series bucket (ns). *)
   shared_sinks : bool;
-      (** One {!Run_stats} and one {!Ci_load.Load_stats} for all client
-          nodes (one thread of control), or one per client node. *)
+      (** One sink for all client nodes (one thread of control), or one
+          per client node. *)
 }
 
 val validate : who:string -> nemesis:Ci_faults.t -> config -> unit
 (** The checks every backend shares: counts and ratios in range, the
     protocol's traits (sharding, leases, crash-recovery under crash or
-    pause faults), what joint placement excludes, and the drivers'
-    configuration.
+    pause faults), what joint placement excludes, then the drivers'
+    inputs through {!Ci_load.Open_client.validate_config}.
     @raise Invalid_argument with a message starting with [who]. *)
 
 (** {1 Layout} *)
@@ -91,13 +92,13 @@ val build :
   install:(int -> handler -> unit) ->
   t
 (** [build config ~env ~install] creates the roles of every node (or of
-    [node] only) on [env i] — replicas, then clients or drivers, then
+    [node] only) on [env i] — replicas, then drivers, then
     participants and routers, which keeps the simulator's shared random
     stream — and hands each node's handler to [install]. Handlers are
     closures fixed here: only the message is matched per delivery. *)
 
 val start : ?node:int -> t -> unit
-(** Start the replicas, then the clients, then the drivers. *)
+(** Start the replicas, then the drivers. *)
 
 val crash : t -> int -> (Ci_consensus.Protocol.env -> unit) option
 (** [crash t i] captures replica [i]'s durable registers now and returns
@@ -106,8 +107,7 @@ val crash : t -> int -> (Ci_consensus.Protocol.env -> unit) option
 
 val replies : t -> int
 val retries : t -> int
-(** Replies received and timeouts fired so far by the clients and
-    drivers. *)
+(** Replies received and timeouts fired so far by the drivers. *)
 
 (** {1 Reports} *)
 
@@ -131,8 +131,8 @@ type outcome = {
   lease_reads : int;
   retained : Ci_consensus.Onepaxos.retained array;
   retries : int;
-  stats : Run_stats.t;  (** The clients' sinks, pooled. *)
-  load : Ci_load.Load_stats.t option;  (** The drivers' sinks, pooled. *)
+  stats : Ci_load.Run_stats.t;  (** The closed-loop sinks, pooled. *)
+  load : Ci_load.Load_stats.t option;  (** The open-loop sinks, pooled. *)
   timeline : float array;
       (** Commit rate per full 100 ms bucket of [\[0, until_)]. *)
   failover : Ci_obs.Failover.t option;

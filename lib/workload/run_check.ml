@@ -8,9 +8,6 @@ module Vec = Ci_rsm.Vec
 
 type source = { node : int; issued : Command.t Vec.t; acked : int Vec.t }
 
-let of_client c =
-  { node = Client.node_id c; issued = Client.issued c; acked = Client.acked_writes c }
-
 let of_driver d =
   {
     node = Ci_load.Open_client.node_id d;

@@ -9,10 +9,9 @@ type source = {
   issued : Ci_rsm.Command.t Ci_rsm.Vec.t;  (** Commands by [req_id]. *)
   acked : int Ci_rsm.Vec.t;  (** [req_id]s of acknowledged writes. *)
 }
-(** One proposer of client values: a closed-loop client, an open-loop
-    driver or a 2PC participant (which acks nothing). *)
+(** One proposer of client values: a workload driver or a 2PC
+    participant (which acks nothing). *)
 
-val of_client : Client.t -> source
 val of_driver : Ci_load.Open_client.t -> source
 val of_participant : node:int -> Ci_consensus.Twopc.Participant.p -> source
 

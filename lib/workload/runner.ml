@@ -9,6 +9,7 @@ module Consistency = Ci_rsm.Consistency
 module Protocol = Ci_consensus.Protocol
 module Wire = Ci_consensus.Wire
 module Node_env = Ci_engine.Node_env
+module Run_stats = Ci_load.Run_stats
 
 type protocol = Protocol.name =
   | Onepaxos
@@ -49,7 +50,6 @@ type spec = {
   local_reads : bool;
   think : int;
   timeout : int;
-  max_requests : int option;
   nemesis : Ci_faults.t;
   bucket : int;
   colocate_acceptor : bool;
@@ -79,7 +79,6 @@ let default_spec ~protocol ~placement =
     local_reads = false;
     think = 0;
     timeout = Sim_time.ms 2;
-    max_requests = None;
     nemesis = Ci_faults.empty;
     bucket = Sim_time.ms 10;
     colocate_acceptor = false;
@@ -221,14 +220,13 @@ let run spec =
       replicas = n_replicas;
       clients = n_clients;
       joint;
-      policy =
+      timeout = spec.timeout;
+      closed_loop =
         {
-          (Client.default_policy ~targets:[||]) with
-          Client.timeout = spec.timeout;
-          think = spec.think;
+          Ci_load.Open_client.think = spec.think;
           read_ratio = spec.read_ratio;
           cross_shard_ratio = spec.cross_shard_ratio;
-          max_requests = spec.max_requests;
+          key_space = 64 (* every simulated figure's keyspace *);
         };
       open_loop = spec.open_loop;
       window = (w0, w1);

@@ -62,7 +62,6 @@ type spec = {
   local_reads : bool;  (** 2PC-Joint quiescent local reads. *)
   think : int;  (** Client think time (ns). *)
   timeout : int;  (** Client retry timeout (ns). *)
-  max_requests : int option;  (** Per-client request budget. *)
   nemesis : Ci_faults.t;
       (** Declarative fault schedule ({!Ci_faults.empty} by default —
           the empty schedule is guaranteed not to perturb the run).
@@ -101,13 +100,13 @@ type spec = {
           grant's validity at the leader; must be < [lease] when leases
           are on. *)
   open_loop : open_loop option;
-      (** When set, client nodes run open-loop {!Ci_load.Open_client}
-          drivers instead of closed-loop clients: arrivals follow the
+      (** When set, the client nodes' {!Ci_load.Open_client} drivers
+          run an open loop instead of a closed one: arrivals follow the
           offered schedule until the measurement window ends, latency is
           measured from the intended arrival (coordinated-omission
           aware), and the per-run histograms land in [result.load].
           Requires dedicated placement. [read_ratio], [think] and
-          [max_requests] are ignored. *)
+          [cross_shard_ratio] are ignored. *)
   trace : Ci_obs.Event.ring option;
       (** When set, the run records typed trace events (sends,
           deliveries, self-deliveries, timers, busy spans, phases) into

@@ -15,7 +15,9 @@ let config ~protocol ~groups ~replicas ~clients ~joint =
     replicas;
     clients = (if joint then replicas else clients);
     joint;
-    policy = Ci_workload.Client.default_policy ~targets:[||];
+    timeout = 1;
+    closed_loop =
+      { Ci_load.Open_client.think = 0; read_ratio = 0.; cross_shard_ratio = 0.; key_space = 64 };
     open_loop = None;
     window = (0, 1);
     bucket = 1;

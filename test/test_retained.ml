@@ -14,8 +14,8 @@ module Pn = Ci_consensus.Pn
 module Onepaxos = Ci_consensus.Onepaxos
 module Replica_core = Ci_consensus.Replica_core
 module Command = Ci_rsm.Command
-module Client = Ci_workload.Client
-module Run_stats = Ci_workload.Run_stats
+module Open_client = Ci_load.Open_client
+module Run_stats = Ci_load.Run_stats
 
 (* ----- a hand-driven network --------------------------------------------- *)
 
@@ -306,15 +306,18 @@ let churn ~every ~instances =
     Array.init n_clients (fun c ->
         let node = Machine.add_node machine ~core:(3 + c) in
         let client =
-          Client.create ~env:(Machine.env node)
-            ~policy:
+          Open_client.create ~env:(Machine.env node)
+            ~config:
               {
-                (Client.default_policy ~targets:[| ids.(0); ids.(2); ids.(1) |]) with
-                Client.key_space = 1024;
+                (Open_client.default_config ~targets:[| ids.(0); ids.(2); ids.(1) |]) with
+                stop_at = max_int;
+                loop =
+                  Closed
+                    { think = 0; read_ratio = 0.; cross_shard_ratio = 0.; key_space = 1024 };
               }
-            ~stats:(Run_stats.create ~bucket:(Sim_time.ms 10))
+            ~sink:(Samples (Run_stats.create ~bucket:(Sim_time.ms 10)))
         in
-        Machine.set_handler node (fun ~src msg -> Client.handle client ~src msg);
+        Machine.set_handler node (fun ~src msg -> Open_client.handle client ~src msg);
         client)
   in
   let resume i =
@@ -345,7 +348,7 @@ let churn ~every ~instances =
       true
   in
   Array.iter Onepaxos.start replicas;
-  Array.iter Client.start clients;
+  Array.iter Open_client.start clients;
   let prefix () =
     Array.fold_left (fun a r -> max a (Replica_core.first_gap (Onepaxos.replica_core r))) 0 replicas
   in
