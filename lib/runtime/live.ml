@@ -9,6 +9,7 @@ module Run_stats = Ci_load.Run_stats
 module Metrics = Ci_obs.Metrics
 module Summary = Ci_stats.Summary
 module Atomicity = Ci_rsm.Atomicity
+module Pool = Ci_workload.Pool
 
 type protocol = Protocol.name =
   | Onepaxos
@@ -126,10 +127,11 @@ type nem_ctl = {
 }
 
 (* Per-node runtime state. Everything here is owned by the node's
-   domain (or, on the socket transport, its process) once spawned; the
-   main domain builds it beforehand and reads it back only after the
-   joins. All message traffic goes through [tr] — the endpoint hides
-   whether the bytes cross SPSC slots or a kernel socket. *)
+   worker domain (or, on the socket transport, its process) once
+   started; the main domain builds it beforehand and reads it back only
+   after every node's loop has finished. All message traffic goes
+   through [tr] — the endpoint hides whether the bytes cross SPSC slots
+   or a kernel socket. *)
 type node_state = {
   id : int;
   tr : Transport.t;
@@ -585,24 +587,26 @@ let run_inproc spec =
   let quiesce = Atomic.make false in
   let d = deploy spec ~state:(Array.get states) ~t0 ~quiesce in
   let work = Array.init n (fun _ -> Metrics.counter (Metrics.create ()) "live.events") in
-  let domains =
-    Array.init n (fun i ->
-        Domain.spawn (fun () ->
-            let a0 = Gc.allocated_bytes () in
-            Deployment.start ~node:i d;
-            event_loop states.(i) ~t0 ~stop ~m_work:work.(i);
-            (* [Gc.allocated_bytes] is domain-local; the delta is what
-               this node's whole lifetime allocated, written before the
-               join so the main domain can read it afterwards. *)
-            states.(i).alloc_bytes <- Gc.allocated_bytes () -. a0))
+  (* One gang of pool workers, one node loop each: the loops wait on
+     each other's messages, so each needs a worker of its own. *)
+  let loops =
+    Pool.gang
+      (Array.init n (fun i () ->
+           let a0 = Gc.allocated_bytes () in
+           Deployment.start ~node:i d;
+           event_loop states.(i) ~t0 ~stop ~m_work:work.(i);
+           (* [Gc.allocated_bytes] is domain-local; the delta is what
+              this node's whole lifetime allocated, written before the
+              gang completes so the main domain can read it afterwards. *)
+           states.(i).alloc_bytes <- Gc.allocated_bytes () -. a0))
   in
   Unix.sleepf spec.duration_s;
   let t_quiesce = Clock.now_ns () - t0 in
   Atomic.set quiesce true;
   Unix.sleepf spec.drain_s;
   Atomic.set stop true;
-  Array.iter Domain.join domains;
-  (* Everything below reads domain-owned state after the joins. *)
+  Pool.await loops;
+  (* Everything below reads domain-owned state after the gang completed. *)
   let nodes =
     Array.of_list
       (List.mapi

@@ -19,9 +19,9 @@
 
     A run has three phases: measure for [duration_s] (clients issue
     requests closed-loop), quiesce (clients stop consuming replies) for
-    [drain_s] so in-flight commands settle, then stop and join. After
-    the join, the same {!Ci_rsm.Consistency} checker the simulator uses
-    is run over the live replicas' views. *)
+    [drain_s] so in-flight commands settle, then stop and wait for
+    every node's loop. Then the same {!Ci_rsm.Consistency} checker the
+    simulator uses is run over the live replicas' views. *)
 
 type protocol = Ci_consensus.Protocol.name =
   | Onepaxos
@@ -190,8 +190,10 @@ val validate : spec -> unit
     {!Ci_workload.Deployment.validate}). *)
 
 val run : spec -> result
-(** [run spec] executes one live run and joins every domain (or reaps
-    every forked process) before returning. On hosts with fewer cores
+(** [run spec] executes one live run and waits for every node's loop
+    (or reaps every forked process) before returning. On the rings the
+    loops run on {!Ci_workload.Pool} workers, which stay parked for the
+    next run for {!Ci_workload.Pool.grace_s}. On hosts with fewer cores
     than nodes the event loops fall back from spinning to sleeping so
     oversubscribed runs still make progress. On the socket transport
     the usual [Unix.Unix_error] exceptions escape if the host cannot

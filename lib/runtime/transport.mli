@@ -66,7 +66,8 @@ val clear_outboxes : t -> unit
 
 (** {2 Statistics}
 
-    Owned by the endpoint's domain; read them after it has joined. *)
+    Owned by the endpoint's domain; read them after its loop has
+    finished. *)
 
 val blocked : t -> int
 (** Sends that found the fast path full and fell back to the outbox. *)

@@ -109,6 +109,85 @@ let test_parallel_runs_match_serial () =
         true (got = serial))
     [ 2; 4 ]
 
+(* ----- gangs and worker reuse ------------------------------------------- *)
+
+let now () = Unix.gettimeofday ()
+
+(* Every thunk checks in, then waits for the others until a deadline: on
+   a pool that ran thunks one after another the first would give up at
+   the deadline instead of hanging, and the test would fail. *)
+let test_gang_concurrent () =
+  let n = 4 in
+  let arrived = Atomic.make 0 in
+  let met = Atomic.make 0 in
+  let deadline = now () +. 0.5 in
+  Pool.await
+    (Pool.gang
+       (Array.make n (fun () ->
+            Atomic.incr arrived;
+            while Atomic.get arrived < n && now () < deadline do
+              Unix.sleepf 0.0005
+            done;
+            if Atomic.get arrived = n then Atomic.incr met)));
+  Alcotest.(check int) "every thunk met the others" n (Atomic.get met)
+
+let gang_domains n =
+  let ids = Array.make n (-1) in
+  Pool.await
+    (Pool.gang
+       (Array.init n (fun i () -> ids.(i) <- (Domain.self () :> int))));
+  Array.to_list ids
+
+let test_gang_reuses_workers () =
+  let first = gang_domains 4 in
+  let spawned = Pool.spawned () in
+  let second = gang_domains 4 in
+  Alcotest.(check int) "four distinct domains" 4
+    (List.length (List.sort_uniq compare first));
+  Alcotest.(check bool) "the caller is not one of them" false
+    (List.mem (Domain.self () :> int) first);
+  Alcotest.(check (list int)) "each thunk on its domain of last time" first
+    second;
+  Alcotest.(check int) "no new spawn" spawned (Pool.spawned ())
+
+exception Thunk of int
+
+let test_gang_failure_after_all () =
+  let finished = Atomic.make 0 in
+  let thunk i () =
+    match i with
+    | 0 -> raise (Thunk 0)
+    | 1 ->
+      Unix.sleepf 0.1;
+      raise (Thunk 1)
+    | _ ->
+      Unix.sleepf 0.05;
+      Atomic.incr finished
+  in
+  (match Pool.await (Pool.gang (Array.init 4 thunk)) with
+   | () -> Alcotest.fail "exception swallowed"
+   | exception Thunk 0 -> ()
+   | exception Thunk i -> Alcotest.failf "thunk %d's exception, not the first" i);
+  Alcotest.(check int) "the others ran to the end first" 2 (Atomic.get finished);
+  let ran = Atomic.make 0 in
+  Pool.await (Pool.gang (Array.make 4 (fun () -> Atomic.incr ran)));
+  Alcotest.(check int) "the pool still runs gangs" 4 (Atomic.get ran)
+
+(* Waits up to a deadline for the pool to empty; the grace is a few
+   hundred ms. *)
+let wait_for_retirement () =
+  let deadline = now () +. Pool.grace_s +. 0.5 in
+  while Pool.workers () > 0 && now () < deadline do
+    Unix.sleepf 0.01
+  done;
+  Pool.workers ()
+
+let test_idle_workers_retire () =
+  Pool.await (Pool.gang (Array.make 2 ignore));
+  Alcotest.(check bool) "workers alive after a gang" true (Pool.workers () >= 2);
+  Alcotest.(check int) "no worker after the grace period" 0
+    (wait_for_retirement ())
+
 (* ----- allocation regression guard ---------------------------------------- *)
 
 (* This reference run (1Paxos, 3 replicas, 13 clients, 50 ms) sat at
@@ -155,4 +234,11 @@ let suite =
         test_parallel_runs_match_serial;
       Alcotest.test_case "alloc words/event budget" `Quick
         test_alloc_words_per_event_budget;
+      Alcotest.test_case "gang thunks run concurrently" `Quick test_gang_concurrent;
+      Alcotest.test_case "consecutive gangs reuse the same domains" `Quick
+        test_gang_reuses_workers;
+      Alcotest.test_case "gang re-raises the first exception after all finish"
+        `Quick test_gang_failure_after_all;
+      Alcotest.test_case "idle workers retire after the grace period" `Quick
+        test_idle_workers_retire;
     ] )

@@ -116,6 +116,33 @@ let test_live_alloc_budget () =
     true
     (r.Live.alloc_words_per_op > 0. && r.Live.alloc_words_per_op <= 8_000.)
 
+(* Back-to-back deployments run on the pool's warm workers: five 1 ms
+   runs of 4 nodes spawn at most one domain per node between them, and
+   a run after the workers retired spawns fresh ones and still works. *)
+let test_live_reuses_workers () =
+  let spec i =
+    {
+      (Live.default_spec ~protocol:Live.Onepaxos) with
+      Live.n_clients = 1;
+      duration_s = 0.001;
+      drain_s = 0.;
+      seed = 100 + i;
+    }
+  in
+  let consistent name (r : Live.result) =
+    if not (Consistency.ok r.Live.consistency) then
+      Alcotest.failf "%s: %a" name Consistency.pp r.Live.consistency
+  in
+  let spawned = Ci_workload.Pool.spawned () in
+  for i = 1 to 5 do
+    consistent (Printf.sprintf "run %d" i) (Live.run (spec i))
+  done;
+  Alcotest.(check bool)
+    "at most 4 spawns over five runs" true
+    (Ci_workload.Pool.spawned () - spawned <= 4);
+  Alcotest.(check int) "workers retired" 0 (Test_pool.wait_for_retirement ());
+  consistent "run after retirement" (Live.run (spec 6))
+
 (* Open-loop drivers and leader leases on real domains: the live halves
    of the lib/load subsystem (the simulator halves live in Test_load). *)
 
@@ -393,6 +420,8 @@ let suite =
         test_live_sharded_onepaxos;
       Alcotest.test_case "live sharded multipaxos: consistent and atomic" `Quick
         test_live_sharded_multipaxos;
+      Alcotest.test_case "back-to-back live runs reuse pool workers" `Quick
+        test_live_reuses_workers;
       Alcotest.test_case "live alloc words/op budget (sharded hot path)" `Quick
         test_live_alloc_budget;
       Alcotest.test_case "live open-loop drivers: sessions read their writes"
