@@ -1,28 +1,17 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (sections E1..E9 below, indexed in DESIGN.md) and the
-   stamped BENCH_{shards,service,faults,explore}.json artifacts. Layer
-   costs and regression numbers live in perfbench/, not here.
+(* Writer of the stamped BENCH_{shards,service,faults,explore}.json
+   artifacts: live sharded scaling, open-loop service curves, failover
+   under the nemesis and the bounded model checker's verdicts. The
+   paper's tables and figures are `consensus_sim figures`; layer costs
+   and regression numbers live in perfbench/.
 
-   Usage: main.exe [--jobs N] [section ...]
-   Sections: netchar fig2 latency fig8 fig9 fig10 fig11 sec2_2 lan
-             ablation batching protocols metrics shards service faults
-             explore (default: all).
-
-   [--jobs N] (or CI_JOBS) fans the independent simulation runs inside
-   each section out over N domains; the printed figures are
-   byte-identical at any N. With N > 1 the figure sections are re-timed
-   at jobs=1 (output suppressed) and a per-section wall-clock
-   comparison table is printed at the end. *)
+   Usage: main.exe [section ...]
+   Sections: shards service faults explore (default: all). The
+   simulator rows of [service] fan out over Pool.default_jobs ()
+   domains (CI_JOBS, else the core count) and are byte-identical at
+   any count. *)
 
 module E = Ci_workload.Experiments
-module Pool = Ci_workload.Pool
 module Sim_time = Ci_engine.Sim_time
-
-(* Wall-clock per section, for the jobs=1 vs jobs=N table. The sink is
-   swapped when re-timing sections at jobs=1. *)
-let section_walls : (string * float) list ref = ref []
-let section_walls_j1 : (string * float) list ref = ref []
-let walls_sink = ref section_walls
 
 let section name paper_note f =
   Format.printf "@.======================================================================@.";
@@ -31,29 +20,8 @@ let section name paper_note f =
   Format.printf "======================================================================@.";
   let t0 = Unix.gettimeofday () in
   f ();
-  let wall = Unix.gettimeofday () -. t0 in
-  !walls_sink := (name, wall) :: !(!walls_sink);
-  Format.printf "[section wall-clock: %.2fs]@." wall;
+  Format.printf "[section wall-clock: %.2fs]@." (Unix.gettimeofday () -. t0);
   Format.print_flush ()
-
-(* Run [f] with formatter output discarded — used to re-time a section
-   at jobs=1 without printing its (byte-identical) figures twice. *)
-let quietly f =
-  Format.print_flush ();
-  let old = Format.get_formatter_out_functions () in
-  Format.set_formatter_out_functions
-    {
-      Format.out_string = (fun _ _ _ -> ());
-      out_flush = ignore;
-      out_newline = ignore;
-      out_spaces = ignore;
-      out_indent = ignore;
-    };
-  Fun.protect
-    ~finally:(fun () ->
-      Format.print_flush ();
-      Format.set_formatter_out_functions old)
-    f
 
 (* Every BENCH_*.json written here has one envelope,
    {"commit", "cores", "ocaml", "rows": [...]}, so a number is never
@@ -95,107 +63,6 @@ let write_rows file rows =
         (String.concat ",\n" (List.map row rows)));
   Format.printf "@.wrote %s@." file
 
-let netchar ~jobs =
-  section "E1. Network characteristics (Section 3)"
-    "multicore: trans 0.5us, prop 0.55us, ratio ~1; LAN: 2us / 135us, ratio ~0.015"
-    (fun () -> Format.printf "%a" E.pp_netchar (E.netchar ~jobs ()))
-
-let fig2 ~jobs =
-  section "E2. Figure 2: Multi-Paxos scalability, LAN vs multicore"
-    "LAN keeps improving up to ~100 clients; multicore saturates after ~3 clients"
-    (fun () -> Format.printf "%a" E.pp_series (E.fig2 ~jobs ()))
-
-let latency ~jobs =
-  section "E4. Section 7.2: single-client commit latency"
-    "1Paxos 16us < Multi-Paxos 19.6us < 2PC 21.4us"
-    (fun () -> Format.printf "%a" E.pp_latency_table (E.latency_table ~jobs ()))
-
-let fig8 ~jobs =
-  section "E5. Figure 8: latency vs throughput, 1..45 clients, 3 replicas"
-    "1Paxos scales ~2x from 1 client and peaks ~2x Multi-Paxos (52%) and 2PC (48%)"
-    (fun () -> Format.printf "%a" E.pp_series (E.fig8 ~jobs ()))
-
-let fig9 ~jobs =
-  section "E6. Figure 9: joint deployment, throughput vs number of replicas"
-    "1Paxos-Joint grows ~linearly to 47 nodes; others peak ~20 nodes then decline"
-    (fun () -> Format.printf "%a" E.pp_series (E.fig9 ~jobs ()))
-
-let fig10 ~jobs =
-  section "E7. Figure 10: 2PC-Joint read mixes vs 1Paxos"
-    "2PC-Joint improves with read share; at 75% reads 3 clients it rivals 1Paxos, \
-     but more clients erode it"
-    (fun () -> Format.printf "%a" E.pp_bars (E.fig10 ~jobs ()))
-
-let fig11 ~jobs =
-  section "E8. Figure 11: 1Paxos throughput while the leader becomes slow"
-    "throughput dips during the leader change, then recovers to the same level"
-    (fun () -> Format.printf "%a" E.pp_timelines (E.fig11 ~jobs ()))
-
-let sec2_2 ~jobs =
-  section "E3. Section 2.2: 2PC throughput while the coordinator becomes slow"
-    "after the coordinator slows down, throughput drops to ~zero and stays there"
-    (fun () -> Format.printf "%a" E.pp_timelines (E.sec2_2 ~jobs ()))
-
-let lan ~jobs =
-  section "E9. Section 8: 1Paxos vs Multi-Paxos over an IP network"
-    "1Paxos improved throughput by a factor of ~2.88 over Multi-Paxos"
-    (fun () ->
-      let series = E.lan_1paxos ~jobs () in
-      Format.printf "%a" E.pp_series series;
-      match series with
-      | [ mp; op ] ->
-        let peak s =
-          List.fold_left (fun m (p : E.point) -> Float.max m p.E.throughput) 0. s.E.points
-        in
-        Format.printf "peak ratio (1Paxos / Multi-Paxos): %.2f@." (peak op /. peak mp)
-      | _ -> ())
-
-let protocols ~jobs =
-  section "A4. Related protocols (Section 8): all five on one machine"
-    "Mencius spreads the leader load; Cheap Paxos needs 6 msgs/commit, 1Paxos 5"
-    (fun () -> Format.printf "%a" E.pp_series (E.protocol_comparison ~jobs ()));
-  section "A5. The same five protocols on rack-scale RDMA (Section 9 outlook)"
-    "no inter-machine cache coherence; 1Paxos as the software coherence layer"
-    (fun () ->
-      Format.printf "%a" E.pp_series
-        (E.protocol_comparison ~jobs ~params:Ci_machine.Net_params.rdma ()))
-
-let ablation ~jobs =
-  section "A1. Ablation: acceptor placement under a slow leader (Section 5.4)"
-    "colocating leader and acceptor couples their failure domains"
-    (fun () -> Format.printf "%a" E.pp_series (E.ablation_placement ~jobs ()));
-  section "A2. Ablation: channel slot count (Section 6.1: QC-libtask uses 7)"
-    "single-slot queues serialize on the head pointer round trip"
-    (fun () -> Format.printf "%a" E.pp_series (E.ablation_slots ~jobs ()));
-  section "A3. Ablation: 1Paxos advantage as propagation grows towards IP delays"
-    "the message-count saving is a transmission-delay phenomenon"
-    (fun () -> Format.printf "%a" E.pp_series (E.ablation_ratio ~jobs ()))
-
-let batching ~jobs =
-  section "A6. Ablation: leader batching (1Paxos and Multi-Paxos, 44 clients)"
-    "this reproduction's addition: one consensus instance per batch amortizes \
-     the leader's per-message transmission cost"
-    (fun () ->
-      let series = E.ablation_batch ~jobs () in
-      Format.printf "%a" E.pp_series series;
-      let peak_of (s : E.series) =
-        List.fold_left (fun m (p : E.point) -> Float.max m p.E.throughput) 0. s.E.points
-      in
-      let base_of (s : E.series) =
-        match s.E.points with p :: _ -> p.E.throughput | [] -> 1.
-      in
-      List.iter
-        (fun (s : E.series) ->
-          Format.printf "%s: batch>=8 peak / batch=1 baseline = %.2fx@." s.E.label
-            (peak_of s /. base_of s))
-        series);
-  section "A7. Ablation: pipeline depth (batch 8, coalesce 16)"
-    "depth 1 is stop-and-wait per batch; a small window hides the accept round trip"
-    (fun () -> Format.printf "%a" E.pp_series (E.ablation_pipeline ~jobs ()));
-  section "A8. Ablation: receive coalescing budget (batch 8, pipeline 8)"
-    "draining k queued messages per reception charge models vectored reads"
-    (fun () -> Format.printf "%a" E.pp_series (E.ablation_coalesce ~jobs ()))
-
 (* ----- sharded scaling benchmark ------------------------------------------ *)
 
 (* One row per protocol x group count, collected for BENCH_shards.json:
@@ -216,7 +83,7 @@ type shards_row = {
   sh_atomic : bool;
 }
 
-let shards ~jobs:_ =
+let shards () =
   section "S1. Sharded multi-group scaling (live, 2 clients, 0.5s per cell)"
     "this reproduction's addition: hash-partition the keyspace over N \
      1Paxos/Multi-Paxos groups on distinct cores, 2PC for cross-shard writes"
@@ -318,7 +185,7 @@ type service_row = {
   sv_knee : bool;
 }
 
-let service ~jobs =
+let service () =
   section "S2. Open-loop service curves (sim + live, 90% reads)"
     "this reproduction's addition: latency-vs-offered-load under an \
      open-loop driver, leader leases vs consensus reads"
@@ -327,6 +194,7 @@ let service ~jobs =
       let module Runner = Ci_workload.Runner in
       let module LS = Ci_load.Load_stats in
       let cores = Domain.recommended_domain_count () in
+      let jobs = Ci_workload.Pool.default_jobs () in
       let of_load_row backend (r : E.load_row) =
         {
           sv_backend = backend;
@@ -491,7 +359,7 @@ type faults_row = {
   f_consistent : bool;
 }
 
-let faults ~jobs:_ =
+let faults () =
   section "F1. Failover under the nemesis (Section 7.6 / Figure 11)"
     "crash the active acceptor resp. the leader mid-run on both backends; \
      the run must stay consistent and resume committing"
@@ -634,7 +502,7 @@ type explore_row = {
   ex_shrunk_len : int;
 }
 
-let explore ~jobs:_ =
+let explore () =
   section "X1. Bounded model checker (schedules x one crash, 3 replicas)"
     "this reproduction's addition: exhaustive delivery-order and fault \
      exploration with digest dedup, sleep sets and trace shrinking"
@@ -724,124 +592,21 @@ let explore ~jobs:_ =
              ])
            rows))
 
-let metrics ~jobs:_ =
-  section "M1. Metrics registry: one instrumented 1Paxos run (Section 4.3)"
-    "per-window message counts, per-core utilization and channel back-pressure"
-    (fun () ->
-      let module Runner = Ci_workload.Runner in
-      let spec =
-        Runner.default_spec ~protocol:Runner.Onepaxos
-          ~placement:(Runner.Dedicated { n_replicas = 3; n_clients = 5 })
-      in
-      let r = Runner.run spec in
-      Format.printf "windows: warmup  %a@." Runner.pp_window r.Runner.windows.Runner.warmup_w;
-      Format.printf "         measure %a@." Runner.pp_window r.Runner.windows.Runner.measure_w;
-      Format.printf "         drain   %a@." Runner.pp_window r.Runner.windows.Runner.drain_w;
-      Format.printf "msgs/commit (measure window): %.2f@."
-        (float_of_int r.Runner.messages /. float_of_int (max 1 r.Runner.commits));
-      List.iter
-        (fun (u : Runner.core_usage) ->
-          Format.printf "core %2d: util %.2f busy %dns queue-peak %d@."
-            u.Runner.u_core u.Runner.u_util u.Runner.u_busy_ns u.Runner.u_queue_peak)
-        r.Runner.cores;
-      Format.printf "%a" Ci_obs.Metrics.pp r.Runner.metrics)
-
 let sections =
-  [
-    ("netchar", netchar);
-    ("fig2", fig2);
-    ("latency", latency);
-    ("fig8", fig8);
-    ("fig9", fig9);
-    ("fig10", fig10);
-    ("fig11", fig11);
-    ("sec2_2", sec2_2);
-    ("lan", lan);
-    ("ablation", ablation);
-    ("batching", batching);
-    ("protocols", protocols);
-    ("metrics", metrics);
-    ("shards", shards);
-    ("service", service);
-    ("faults", faults);
-    ("explore", explore);
-  ]
-
-(* Sections not worth re-timing at jobs=1 for the comparison table:
-   single runs, live wall-clock runs and the model checker. *)
-let serial_only = [ "metrics"; "shards"; "service"; "faults"; "explore" ]
-
-let print_jobs_table ~jobs =
-  let j1 = List.rev !section_walls_j1 in
-  if j1 <> [] then begin
-    let jn = List.rev !section_walls in
-    Format.printf "@.Per-section wall-clock, jobs=1 vs jobs=%d:@." jobs;
-    Format.printf "%-55s %10s %10s %9s@." "section" "jobs=1(s)"
-      (Printf.sprintf "jobs=%d(s)" jobs)
-      "speedup";
-    List.iter
-      (fun (name, w1) ->
-        match List.assoc_opt name jn with
-        | Some wn ->
-          Format.printf "%-55s %10.2f %10.2f %8.2fx@." name w1 wn (w1 /. wn)
-        | None -> ())
-      j1;
-    let total_j1 = List.fold_left (fun a (_, w) -> a +. w) 0. j1 in
-    let total_jn =
-      List.fold_left
-        (fun a (n, w) -> if List.mem_assoc n j1 then a +. w else a)
-        0. jn
-    in
-    Format.printf "%-55s %10.2f %10.2f %8.2fx@." "TOTAL" total_j1 total_jn
-      (total_j1 /. total_jn)
-  end
+  [ ("shards", shards); ("service", service); ("faults", faults); ("explore", explore) ]
 
 let () =
-  let jobs = ref (Pool.default_jobs ()) in
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | ("--jobs" | "-j") :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some j when j >= 1 -> jobs := j
-       | _ ->
-         Format.eprintf "--jobs: expected a positive integer, got %S@." n;
-         exit 1);
-      parse acc rest
-    | s :: rest when String.length s > 7 && String.sub s 0 7 = "--jobs=" ->
-      (match int_of_string_opt (String.sub s 7 (String.length s - 7)) with
-       | Some j when j >= 1 -> jobs := j
-       | _ ->
-         Format.eprintf "--jobs: expected a positive integer, got %S@." s;
-         exit 1);
-      parse acc rest
-    | s :: rest -> parse (s :: acc) rest
-  in
   let requested =
-    match parse [] (List.tl (Array.to_list Sys.argv)) with
+    match List.tl (Array.to_list Sys.argv) with
     | [] -> List.map fst sections
     | names -> names
   in
   List.iter
     (fun name ->
-      match List.assoc_opt name sections with
-      | Some f -> f ~jobs:!jobs
-      | None ->
+      if not (List.mem_assoc name sections) then begin
         Format.eprintf "unknown section %S; available: %s@." name
           (String.concat " " (List.map fst sections));
-        exit 1)
+        exit 1
+      end)
     requested;
-  if !jobs > 1 then begin
-    (* Second, silent pass at jobs=1 over the pool-driven sections for
-       the comparison table (figures are byte-identical, so only the
-       timing is interesting). *)
-    walls_sink := section_walls_j1;
-    List.iter
-      (fun name ->
-        if not (List.mem name serial_only) then
-          match List.assoc_opt name sections with
-          | Some f -> quietly (fun () -> f ~jobs:1)
-          | None -> ())
-      requested;
-    walls_sink := section_walls;
-    print_jobs_table ~jobs:!jobs
-  end
+  List.iter (fun name -> (List.assoc name sections) ()) requested

@@ -1,8 +1,8 @@
 (* consensus_sim: command-line front-end to the simulator.
 
    [run] executes one experiment with explicit parameters; [figures]
-   regenerates any of the paper's tables/figures (same sections as
-   bench/main.exe). *)
+   regenerates any of the paper's tables/figures and is their only
+   front end. *)
 
 open Cmdliner
 module Runner = Ci_workload.Runner

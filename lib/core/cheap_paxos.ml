@@ -296,8 +296,7 @@ let handle t ~src msg =
       end
     | Wire.Reply _ | Wire.Op_prepare_request _ | Wire.Op_prepare_response _
     | Wire.Op_abandon _ | Wire.Op_accept_request _ | Wire.Op_learn _
-    | Wire.Ls_req _ | Wire.Ls_reply _ | Wire.Bp_prepare _ | Wire.Bp_promise _
-    | Wire.Bp_reject _ | Wire.Bp_accept _ | Wire.Bp_learn _ | Wire.Mp_prepare _
+    | Wire.Ls_req _ | Wire.Ls_reply _ | Wire.Mp_prepare _
     | Wire.Mp_promise _ | Wire.Mp_reject _ | Wire.Mp_accept _ | Wire.Mp_learn _ | Wire.Op_accept_batch _ | Wire.Op_learn_batch _ | Wire.Mp_accept_batch _ | Wire.Mp_learn_batch _
     | Wire.Mn_accept _ | Wire.Mn_learn _ | Wire.Tp_prepare _ | Wire.Tp_ack _
     | Wire.Tp_commit _ | Wire.Tp_commit_ack _ | Wire.Tp_rollback _ | Wire.Tp_nack _

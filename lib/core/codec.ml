@@ -81,15 +81,6 @@ let encoded_size = function
   | Pu_read_reply { chosen_suffix; _ } -> 13 + ie_size 0 chosen_suffix
   | Ls_req _ -> 17
   | Ls_reply { decisions; _ } -> 13 + iv_size 0 decisions
-  | Bp_prepare _ -> 25
-  | Bp_promise { accepted; _ } ->
-    let acc =
-      match accepted with None -> 0 | Some (_, v) -> pn_size + value_size v
-    in
-    26 + acc
-  | Bp_reject _ -> 25
-  | Bp_accept { v; _ } -> 25 + value_size v
-  | Bp_learn { v; _ } -> 25 + value_size v
   | Mp_prepare _ -> 25
   | Mp_promise { accepted; _ } -> 21 + ipnv_size 0 accepted
   | Mp_reject _ -> 17
@@ -114,9 +105,10 @@ let encoded_size = function
   | Le_renew _ -> 25
   | Le_grant _ -> 25
 
-(* Max over the constructors with no list/array payload: Bp_promise with
-   accepted = Some (pn, {cmd = Mput _}) at 26 + 16 + 49. *)
-let max_fixed_size = 91
+(* Max over the constructors with no list/array payload:
+   Op_accept_request, Mp_accept and Mp_learn carrying {cmd = Mput _} at
+   25 + 16 + 33. *)
+let max_fixed_size = 74
 
 (* ---------- encode ---------- *)
 
@@ -264,6 +256,9 @@ let rec put_varr b pos vs i =
     let pos = put_value b pos (Array.unsafe_get vs i) in
     put_varr b pos vs (i + 1)
 
+(* The first byte is the constructor's tag. Tags are never renumbered
+   when a constructor goes, so the socket wire format stays stable:
+   21-25 are unassigned and decode as unknown. *)
 let encode m b ~pos =
   let size = encoded_size m in
   if pos < 0 || pos + size > Bytes.length b then
@@ -374,34 +369,6 @@ let encode m b ~pos =
       let p = put_int b p token in
       let p = put_count b p (List.length decisions) in
       put_iv b p decisions
-    | Bp_prepare { inst; pn } ->
-      let p = put_byte b pos 21 in
-      let p = put_int b p inst in
-      put_pn b p pn
-    | Bp_promise { inst; pn; accepted } ->
-      let p = put_byte b pos 22 in
-      let p = put_int b p inst in
-      let p = put_pn b p pn in
-      (match accepted with
-       | None -> put_byte b p 0
-       | Some (apn, v) ->
-         let p = put_byte b p 1 in
-         let p = put_pn b p apn in
-         put_value b p v)
-    | Bp_reject { inst; pn } ->
-      let p = put_byte b pos 23 in
-      let p = put_int b p inst in
-      put_pn b p pn
-    | Bp_accept { inst; pn; v } ->
-      let p = put_byte b pos 24 in
-      let p = put_int b p inst in
-      let p = put_pn b p pn in
-      put_value b p v
-    | Bp_learn { inst; pn; v } ->
-      let p = put_byte b pos 25 in
-      let p = put_int b p inst in
-      let p = put_pn b p pn in
-      put_value b p v
     | Mp_prepare { pn; low } ->
       let p = put_byte b pos 26 in
       let p = put_pn b p pn in
@@ -776,37 +743,6 @@ let get_msg c =
     let n = get_count c ~min_elem:25 in
     let decisions = get_list c n get_iv in
     Ls_reply { token; decisions }
-  | 21 ->
-    let inst = get_int c in
-    let pn = get_pn c in
-    Bp_prepare { inst; pn }
-  | 22 ->
-    let inst = get_int c in
-    let pn = get_pn c in
-    let accepted =
-      match get_byte c with
-      | 0 -> None
-      | 1 ->
-        let apn = get_pn c in
-        let v = get_value c in
-        Some (apn, v)
-      | _ -> err "decode: bad option tag"
-    in
-    Bp_promise { inst; pn; accepted }
-  | 23 ->
-    let inst = get_int c in
-    let pn = get_pn c in
-    Bp_reject { inst; pn }
-  | 24 ->
-    let inst = get_int c in
-    let pn = get_pn c in
-    let v = get_value c in
-    Bp_accept { inst; pn; v }
-  | 25 ->
-    let inst = get_int c in
-    let pn = get_pn c in
-    let v = get_value c in
-    Bp_learn { inst; pn; v }
   | 26 ->
     let pn = get_pn c in
     let low = get_int c in

@@ -853,7 +853,7 @@ let handle t ~src msg =
     | Wire.Tp_commit _ | Wire.Tp_commit_ack _ | Wire.Tp_rollback _ | Wire.Tp_nack _
     | Wire.Pu_prepare _ | Wire.Pu_promise _ | Wire.Pu_reject _ | Wire.Pu_accept _
     | Wire.Pu_accepted _ | Wire.Pu_nack _ | Wire.Pu_learn _ | Wire.Pu_read _
-    | Wire.Pu_read_reply _ | Wire.Bp_prepare _ | Wire.Bp_promise _ | Wire.Bp_reject _ | Wire.Bp_accept _ | Wire.Bp_learn _ | Wire.Mn_accept _ | Wire.Mn_learn _ | Wire.Cp_accept _ | Wire.Cp_accepted _ | Wire.Cp_learn _ | Wire.Cp_state _
+    | Wire.Pu_read_reply _ | Wire.Mn_accept _ | Wire.Mn_learn _ | Wire.Cp_accept _ | Wire.Cp_accepted _ | Wire.Cp_learn _ | Wire.Cp_state _
     | Wire.Mp_accept_batch _ | Wire.Mp_learn_batch _ ->
       ()
 

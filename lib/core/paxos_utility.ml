@@ -270,7 +270,7 @@ let handle t ~src msg =
   | Wire.Op_learn _ | Wire.Ls_req _ | Wire.Ls_reply _ | Wire.Mp_prepare _
   | Wire.Mp_promise _ | Wire.Mp_reject _ | Wire.Mp_accept _ | Wire.Mp_learn _ | Wire.Op_accept_batch _ | Wire.Op_learn_batch _ | Wire.Mp_accept_batch _ | Wire.Mp_learn_batch _
   | Wire.Tp_prepare _ | Wire.Tp_ack _ | Wire.Tp_commit _ | Wire.Tp_commit_ack _
-  | Wire.Tp_rollback _ | Wire.Tp_nack _ | Wire.Bp_prepare _ | Wire.Bp_promise _ | Wire.Bp_reject _ | Wire.Bp_accept _ | Wire.Bp_learn _ | Wire.Mn_accept _ | Wire.Mn_learn _ | Wire.Cp_accept _ | Wire.Cp_accepted _ | Wire.Cp_learn _ | Wire.Cp_state _ | Wire.Le_renew _ | Wire.Le_grant _ ->
+  | Wire.Tp_rollback _ | Wire.Tp_nack _ | Wire.Mn_accept _ | Wire.Mn_learn _ | Wire.Cp_accept _ | Wire.Cp_accepted _ | Wire.Cp_learn _ | Wire.Cp_state _ | Wire.Le_renew _ | Wire.Le_grant _ ->
     false
 
 let names_other_leader ~leader = function

@@ -64,11 +64,6 @@ type t =
   | Pu_read_reply of { token : int; chosen_suffix : (int * config_entry) list }
   | Ls_req of { token : int; from_ : int }
   | Ls_reply of { token : int; decisions : (int * value) list }
-  | Bp_prepare of { inst : int; pn : Pn.t }
-  | Bp_promise of { inst : int; pn : Pn.t; accepted : (Pn.t * value) option }
-  | Bp_reject of { inst : int; pn : Pn.t }
-  | Bp_accept of { inst : int; pn : Pn.t; v : value }
-  | Bp_learn of { inst : int; pn : Pn.t; v : value }
   | Mp_prepare of { pn : Pn.t; low : int }
   | Mp_promise of { pn : Pn.t; accepted : (int * (Pn.t * value)) list }
   | Mp_reject of { pn : Pn.t }
@@ -145,14 +140,6 @@ let pp fmt = function
   | Ls_req { token; from_ } -> Format.fprintf fmt "ls.req t=%d from=%d" token from_
   | Ls_reply { token; decisions } ->
     Format.fprintf fmt "ls.reply t=%d |d|=%d" token (List.length decisions)
-  | Bp_prepare { inst; pn } -> Format.fprintf fmt "bp.prepare i=%d pn=%a" inst Pn.pp pn
-  | Bp_promise { inst; pn; accepted } ->
-    Format.fprintf fmt "bp.promise i=%d pn=%a acc=%b" inst Pn.pp pn (accepted <> None)
-  | Bp_reject { inst; pn } -> Format.fprintf fmt "bp.reject i=%d pn=%a" inst Pn.pp pn
-  | Bp_accept { inst; pn; v } ->
-    Format.fprintf fmt "bp.accept i=%d pn=%a %a" inst Pn.pp pn pp_value v
-  | Bp_learn { inst; pn; v } ->
-    Format.fprintf fmt "bp.learn i=%d pn=%a %a" inst Pn.pp pn pp_value v
   | Mp_prepare { pn; low } -> Format.fprintf fmt "mp.prepare pn=%a low=%d" Pn.pp pn low
   | Mp_promise { pn; accepted } ->
     Format.fprintf fmt "mp.promise pn=%a |ap|=%d" Pn.pp pn (List.length accepted)
@@ -217,11 +204,6 @@ let kind = function
   | Pu_read_reply _ -> "Pu_read_reply"
   | Ls_req _ -> "Ls_req"
   | Ls_reply _ -> "Ls_reply"
-  | Bp_prepare _ -> "Bp_prepare"
-  | Bp_promise _ -> "Bp_promise"
-  | Bp_reject _ -> "Bp_reject"
-  | Bp_accept _ -> "Bp_accept"
-  | Bp_learn _ -> "Bp_learn"
   | Mp_prepare _ -> "Mp_prepare"
   | Mp_promise _ -> "Mp_promise"
   | Mp_reject _ -> "Mp_reject"

@@ -84,12 +84,6 @@ type t =
   (* Learner catch-up used by a fresh 1Paxos leader. *)
   | Ls_req of { token : int; from_ : int }
   | Ls_reply of { token : int; decisions : (int * value) list }
-  (* Single-decree Basic-Paxos (Synod), used as correctness reference. *)
-  | Bp_prepare of { inst : int; pn : Pn.t }
-  | Bp_promise of { inst : int; pn : Pn.t; accepted : (Pn.t * value) option }
-  | Bp_reject of { inst : int; pn : Pn.t }
-  | Bp_accept of { inst : int; pn : Pn.t; v : value }
-  | Bp_learn of { inst : int; pn : Pn.t; v : value }
   (* Multi-Paxos data path. *)
   | Mp_prepare of { pn : Pn.t; low : int }
   | Mp_promise of { pn : Pn.t; accepted : (int * (Pn.t * value)) list }

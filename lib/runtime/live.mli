@@ -62,8 +62,9 @@ type spec = {
   queue_slots : int;  (** Ring capacity per ordered pair (in slots). *)
   slot_size : int;
       (** Bytes per ring slot — a power of two, at least
-          {!Spsc_bytes.min_slot_size}. Every non-batch message fits one
-          128-byte slot ({!Ci_consensus.Codec.max_fixed_size}); batch
+          {!Spsc_bytes.min_slot_size}. Every message without a list or
+          array payload fits one 128-byte slot (at most
+          {!Ci_consensus.Codec.max_fixed_size}, 74 bytes); batch
           messages spill over consecutive slots. *)
   seed : int;  (** Per-node rng streams are derived from this. *)
   client_timeout : int;

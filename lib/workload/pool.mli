@@ -21,8 +21,8 @@
 val default_jobs : unit -> int
 (** [default_jobs ()] is the [CI_JOBS] environment variable if set to a
     positive integer, otherwise [Domain.recommended_domain_count ()].
-    This is the default the [--jobs] flags of [consensus_sim] and
-    [bench/main.exe] resolve to. *)
+    This is the default of [consensus_sim]'s [--jobs] flags and the
+    job count [bench/main.exe] uses. *)
 
 val parallel_map : ?chunk:int -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map ~jobs f xs] is [Array.map f xs] computed by [jobs]

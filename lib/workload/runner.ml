@@ -497,10 +497,6 @@ let leader_util r =
   | Some u -> u.u_util
   | None -> 0.
 
-let pp_window fmt w =
-  Format.fprintf fmt "msgs=%d sends=%d self=%d retries=%d replies=%d"
-    w.w_messages w.w_sends w.w_self w.w_retries w.w_replies
-
 let pp_result fmt r =
   Format.fprintf fmt
     "commits=%d throughput=%.0f op/s latency: %a; msgs=%d/%d self=%d/%d \

@@ -219,8 +219,5 @@ val leader_util : result -> float
 (** [leader_util r] is core 0's measurement-window utilization ([0.]
     when no node lives there). *)
 
-val pp_window : Format.formatter -> window_counts -> unit
-(** One-line rendering of one window's counts. *)
-
 val pp_result : Format.formatter -> result -> unit
 (** One-paragraph human-readable rendering. *)

@@ -1,13 +1,92 @@
 #!/bin/sh
 # Developer pre-flight: clean build (warnings fatal), quick tests, the
 # perfbench smoke, the single- vs multi-domain paths of the parallel
-# experiment runner, and the shape of the committed BENCH_*.json
-# artifacts. The full adversarial suite is `dune runtest`.
+# experiment runner, and the shape of a freshly written
+# BENCH_explore.json and of the committed BENCH_*.json artifacts. The
+# full adversarial suite is `dune runtest`.
 set -eu
 cd "$(dirname "$0")/.."
 
 echo "== build (warnings are errors under the dev profile) =="
 dune build
+
+# Shape check of BENCH_<name>.json files (the stamped artifacts of
+# bench/main.exe): each parses, carries the commit/cores/ocaml stamp
+# and has the promised keys and verdicts.
+check_bench() {
+  python3 - "$@" <<'EOF'
+import collections, json, os, sys
+
+def shards(rows):
+    assert all(r["consistent"] for r in rows), "inconsistent row"
+    assert all(r["atomic"] for r in rows), "non-atomic row"
+    return "all consistent and atomic"
+
+def service(rows):
+    # >=4 load points per backend x curve, both backends, a knee.
+    assert {r["backend"] for r in rows} == {"sim", "live"}, "need both backends"
+    points = collections.Counter((r["backend"], r["curve"]) for r in rows)
+    assert all(v >= 4 for v in points.values()), f"need >=4 points/curve: {points}"
+    assert any(r["knee"] for r in rows), "no knee flagged"
+    return f"{len(points)} curves"
+
+def faults(rows):
+    # Every crash is survived: consistent, and committing again.
+    assert all(r["consistent"] for r in rows), "inconsistent row"
+    assert all(r["time_to_failover_ms"] is not None and r["ops_after"] > 0
+               for r in rows), "a row never recovered"
+    return "all consistent and recovered"
+
+def explore(rows):
+    # The crash-tolerant protocols exhaust with nonzero reduction
+    # ratios; 2PC is convicted and shrunk to the one-crash trace.
+    by = {r["protocol"]: r for r in rows}
+    for p in ("1paxos", "multipaxos"):
+        assert by[p]["outcome"] == "exhausted", f"{p} did not exhaust"
+        assert by[p]["dedup_ratio"] > 0, f"{p}: dedup never pruned"
+        assert by[p]["sleep_ratio"] > 0, f"{p}: sleep sets never pruned"
+    assert by["2pc"]["outcome"] == "violated", "2pc escaped its known violation"
+    assert by["2pc"]["shrunk_len"] == 1, "2pc counterexample not 1-minimal"
+    return "verdicts as expected"
+
+checks = {
+    "shards": (["protocol", "groups", "ops", "throughput_ops",
+                "cross_shard_committed", "cross_shard_aborted",
+                "alloc_words_per_op", "consistent", "atomic"], shards),
+    "service": (["backend", "curve", "offered_ops", "achieved_ops", "p50_us",
+                 "p99_us", "p999_us", "service_p99_us", "lease_reads",
+                 "knee"], service),
+    "faults": (["backend", "protocol", "scenario", "time_to_failover_ms",
+                "unavailable_ms", "rate_before_ops", "rate_after_ops",
+                "ops_after", "consistent"], faults),
+    "explore": (["protocol", "outcome", "states", "executions",
+                 "choices_applied", "dedup_ratio", "sleep_ratio",
+                 "states_per_s", "trace_len", "shrunk_len"], explore),
+}
+for path in sys.argv[1:]:
+    name = os.path.basename(path)[len("BENCH_"):-len(".json")]
+    keys, check = checks[name]
+    doc = json.load(open(path))
+    for k, t in (("commit", str), ("cores", int), ("ocaml", str)):
+        assert isinstance(doc.get(k), t) and doc[k], f"{path}: bad {k} stamp"
+    rows = doc["rows"]
+    assert rows, f"{path}: no rows"
+    for k in keys:
+        assert all(k in r for r in rows), f"{path}: missing key {k}"
+    print(f"{path}: {len(rows)} rows, {check(rows)}, ok")
+EOF
+}
+
+echo "== fresh artifact: bench/main.exe explore in a scratch directory =="
+# The artifact writer itself runs (about 0.3 s): the model checker's
+# verdicts are written to a fresh BENCH_explore.json and shape-checked;
+# the committed artifacts are left untouched.
+bench_exe="$PWD/_build/default/bench/main.exe"
+fresh=$(mktemp -d)
+trap 'rm -rf "$fresh"' EXIT
+(cd "$fresh" && "$bench_exe" explore > /dev/null)
+check_bench "$fresh/BENCH_explore.json"
+rm -rf "$fresh"
 
 echo "== quick tests (dune build @runtest-quick) =="
 dune build @runtest-quick
@@ -141,71 +220,9 @@ dune exec bin/consensus_sim.exe -- explore -p multi-paxos \
 
 echo "== BENCH_*.json sanity (committed artifacts of bench/main.exe) =="
 # Regenerated by `dune exec bench/main.exe -- shards service faults
-# explore`; here we only check that each committed artifact parses,
-# carries the commit/cores/ocaml stamp and has the promised shape.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import collections, json
-
-def shards(rows):
-    assert all(r["consistent"] for r in rows), "inconsistent row"
-    assert all(r["atomic"] for r in rows), "non-atomic row"
-    return "all consistent and atomic"
-
-def service(rows):
-    # >=4 load points per backend x curve, both backends, a knee.
-    assert {r["backend"] for r in rows} == {"sim", "live"}, "need both backends"
-    points = collections.Counter((r["backend"], r["curve"]) for r in rows)
-    assert all(v >= 4 for v in points.values()), f"need >=4 points/curve: {points}"
-    assert any(r["knee"] for r in rows), "no knee flagged"
-    return f"{len(points)} curves"
-
-def faults(rows):
-    # Every crash is survived: consistent, and committing again.
-    assert all(r["consistent"] for r in rows), "inconsistent row"
-    assert all(r["time_to_failover_ms"] is not None and r["ops_after"] > 0
-               for r in rows), "a row never recovered"
-    return "all consistent and recovered"
-
-def explore(rows):
-    # The crash-tolerant protocols exhaust with nonzero reduction
-    # ratios; 2PC is convicted and shrunk to the one-crash trace.
-    by = {r["protocol"]: r for r in rows}
-    for p in ("1paxos", "multipaxos"):
-        assert by[p]["outcome"] == "exhausted", f"{p} did not exhaust"
-        assert by[p]["dedup_ratio"] > 0, f"{p}: dedup never pruned"
-        assert by[p]["sleep_ratio"] > 0, f"{p}: sleep sets never pruned"
-    assert by["2pc"]["outcome"] == "violated", "2pc escaped its known violation"
-    assert by["2pc"]["shrunk_len"] == 1, "2pc counterexample not 1-minimal"
-    return "verdicts as expected"
-
-checks = {
-    "shards": (["protocol", "groups", "ops", "throughput_ops",
-                "cross_shard_committed", "cross_shard_aborted",
-                "alloc_words_per_op", "consistent", "atomic"], shards),
-    "service": (["backend", "curve", "offered_ops", "achieved_ops", "p50_us",
-                 "p99_us", "p999_us", "service_p99_us", "lease_reads",
-                 "knee"], service),
-    "faults": (["backend", "protocol", "scenario", "time_to_failover_ms",
-                "unavailable_ms", "rate_before_ops", "rate_after_ops",
-                "ops_after", "consistent"], faults),
-    "explore": (["protocol", "outcome", "states", "executions",
-                 "choices_applied", "dedup_ratio", "sleep_ratio",
-                 "states_per_s", "trace_len", "shrunk_len"], explore),
-}
-for name, (keys, check) in checks.items():
-    path = f"BENCH_{name}.json"
-    doc = json.load(open(path))
-    for k, t in (("commit", str), ("cores", int), ("ocaml", str)):
-        assert isinstance(doc.get(k), t) and doc[k], f"{path}: bad {k} stamp"
-    rows = doc["rows"]
-    assert rows, f"{path}: no rows"
-    for k in keys:
-        assert all(k in r for r in rows), f"{path}: missing key {k}"
-    print(f"{path}: {len(rows)} rows, {check(rows)}, ok")
-EOF
-else
-  echo "python3 unavailable; skipping JSON validation"
-fi
+# explore`; here we only check that each committed artifact has the
+# promised shape.
+check_bench BENCH_shards.json BENCH_service.json BENCH_faults.json \
+  BENCH_explore.json
 
 echo "== OK =="

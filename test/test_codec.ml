@@ -118,7 +118,6 @@ let msg_gen =
     and* ie = ie_list_gen
     and* vs = varr_gen in
     let accepted_pe = if flag then Some (apn, entry) else None in
-    let accepted_pv = if flag then Some (apn, value) else None in
     oneofl
       [
         Request { req_id; cmd; relaxed_read = flag };
@@ -142,11 +141,6 @@ let msg_gen =
         Pu_read_reply { token; chosen_suffix = ie };
         Ls_req { token; from_ };
         Ls_reply { token; decisions = iv };
-        Bp_prepare { inst; pn };
-        Bp_promise { inst; pn; accepted = accepted_pv };
-        Bp_reject { inst; pn };
-        Bp_accept { inst; pn; v = value };
-        Bp_learn { inst; pn; v = value };
         Mp_prepare { pn; low };
         Mp_promise { pn; accepted = ipnv };
         Mp_reject { pn };
@@ -173,7 +167,7 @@ let msg_gen =
 let msg_arb =
   QCheck.make ~print:(fun m -> Format.asprintf "%a" Wire.pp m) msg_gen
 
-(* Deterministic sample hitting all 45 constructors, including the
+(* Deterministic sample hitting all 42 constructors, including the
    shapes qcheck rarely draws (empty batch, Pn.bottom, big lists). *)
 let vocabulary =
   let pn = Pn.make ~round:3 ~owner:1 in
@@ -207,11 +201,6 @@ let vocabulary =
     Pu_read_reply { token = 8; chosen_suffix = [] };
     Ls_req { token = 9; from_ = 2 };
     Ls_reply { token = 10; decisions = iv };
-    Bp_prepare { inst = 1; pn };
-    Bp_promise { inst = 2; pn; accepted = Some (pn, value) };
-    Bp_reject { inst = 3; pn };
-    Bp_accept { inst = 4; pn; v = value };
-    Bp_learn { inst = 5; pn; v = value };
     Mp_prepare { pn; low = -1 };
     Mp_promise { pn; accepted = ipnv };
     Mp_reject { pn };
@@ -256,8 +245,8 @@ let roundtrip m =
   Codec.decode buf ~pos:5 ~len:size
 
 let test_vocabulary_roundtrip () =
-  Alcotest.(check int) "all constructors present" 47 (List.length vocabulary);
-  Alcotest.(check int) "kinds distinct" 47
+  Alcotest.(check int) "all constructors present" 42 (List.length vocabulary);
+  Alcotest.(check int) "kinds distinct" 42
     (List.length (List.sort_uniq compare (List.map Wire.kind vocabulary)));
   List.iter
     (fun m ->
@@ -326,8 +315,10 @@ let test_encode_bounds () =
   | exception Codec.Error _ -> ()
 
 (* The transports size their fixed slots from max_fixed_size: it must
-   bound every constructor that carries no list or array. *)
+   bound every constructor that carries no list or array, and be tight:
+   some message in the vocabulary is exactly that long. *)
 let test_max_fixed_size () =
+  let largest = ref 0 in
   List.iter
     (fun m ->
       let has_variable =
@@ -339,11 +330,62 @@ let test_max_fixed_size () =
           true
         | _ -> false
       in
-      if not has_variable then
+      if not has_variable then begin
         let size = Codec.encoded_size m in
+        largest := max !largest size;
         if size > Codec.max_fixed_size then
           Alcotest.failf "%a is %d bytes > max_fixed_size %d" Wire.pp m size
-            Codec.max_fixed_size)
+            Codec.max_fixed_size
+      end)
+    vocabulary;
+  Alcotest.(check int) "largest fixed message" Codec.max_fixed_size !largest
+
+(* The tag byte of every constructor, pinned: the socket transport and
+   any stored encoding depend on these numbers. Tags 21-25 are
+   unassigned and must not decode. *)
+let wire_tags =
+  [
+    ("Request", 0); ("Reply", 1); ("Forward", 2); ("Op_prepare_request", 3);
+    ("Op_prepare_response", 4); ("Op_abandon", 5); ("Op_accept_request", 6);
+    ("Op_learn", 7); ("Op_accept_batch", 8); ("Op_learn_batch", 9);
+    ("Pu_prepare", 10); ("Pu_promise", 11); ("Pu_reject", 12);
+    ("Pu_accept", 13); ("Pu_accepted", 14); ("Pu_nack", 15); ("Pu_learn", 16);
+    ("Pu_read", 17); ("Pu_read_reply", 18); ("Ls_req", 19); ("Ls_reply", 20);
+    ("Mp_prepare", 26); ("Mp_promise", 27); ("Mp_reject", 28);
+    ("Mp_accept", 29); ("Mp_learn", 30); ("Mp_accept_batch", 31);
+    ("Mp_learn_batch", 32); ("Mn_accept", 33); ("Mn_learn", 34);
+    ("Cp_accept", 35); ("Cp_accepted", 36); ("Cp_learn", 37);
+    ("Cp_state", 38); ("Tp_prepare", 39); ("Tp_ack", 40); ("Tp_commit", 41);
+    ("Tp_commit_ack", 42); ("Tp_rollback", 43); ("Tp_nack", 44);
+    ("Le_renew", 45); ("Le_grant", 46);
+  ]
+
+let encoded m =
+  let buf = Bytes.create (Codec.encoded_size m) in
+  ignore (Codec.encode m buf ~pos:0);
+  buf
+
+let test_wire_tags () =
+  Alcotest.(check int) "one tag per constructor" (List.length vocabulary)
+    (List.length wire_tags);
+  List.iter
+    (fun m ->
+      match List.assoc_opt (Wire.kind m) wire_tags with
+      | None -> Alcotest.failf "%s has no pinned tag" (Wire.kind m)
+      | Some tag ->
+        Alcotest.(check int) (Wire.kind m) tag
+          (Char.code (Bytes.get (encoded m) 0)))
+    vocabulary;
+  (* Every body shape behind an unassigned tag is an unknown message. *)
+  List.iter
+    (fun m ->
+      let buf = encoded m in
+      for tag = 21 to 25 do
+        Bytes.set buf 0 (Char.chr tag);
+        match Codec.decode buf ~pos:0 ~len:(Bytes.length buf) with
+        | m' -> Alcotest.failf "tag %d decoded as %a" tag Wire.pp m'
+        | exception Codec.Error _ -> ()
+      done)
     vocabulary
 
 (* The zero-allocation claim, asserted: a thousand encodes of every
@@ -390,6 +432,7 @@ let suite =
       Alcotest.test_case "encode bounds checked" `Quick test_encode_bounds;
       Alcotest.test_case "max_fixed_size bounds fixed messages" `Quick
         test_max_fixed_size;
+      Alcotest.test_case "wire tags pinned" `Quick test_wire_tags;
       Alcotest.test_case "encode allocates nothing" `Quick test_encode_no_alloc;
       Alcotest.test_case "encoded_size allocates nothing" `Quick
         test_encoded_size_no_alloc;

@@ -62,11 +62,6 @@ let test_kind_total () =
       Pu_read_reply { token = 0; chosen_suffix = [] };
       Ls_req { token = 0; from_ = 0 };
       Ls_reply { token = 0; decisions = [] };
-      Bp_prepare { inst = 0; pn };
-      Bp_promise { inst = 0; pn; accepted = None };
-      Bp_reject { inst = 0; pn };
-      Bp_accept { inst = 0; pn; v = value };
-      Bp_learn { inst = 0; pn; v = value };
       Mn_accept { inst = 0; v = Some value };
       Mn_learn { inst = 1; v = None };
       Cp_accept { epoch = 0; inst = 0; v = value };
