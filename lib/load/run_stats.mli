@@ -1,5 +1,6 @@
 (** The closed loop's measurement sink: every completed request of a
-    run, in completion order. *)
+    run, in completion order, kept as three chunked int columns (no
+    record or list cell per request). *)
 
 type sample = { intended_at : int; sent_at : int; replied_at : int }
 (** One completed request: scheduled arrival, first transmission and
@@ -37,12 +38,14 @@ val latencies_in : t -> from_:int -> until_:int -> int array
 (** [latencies_in t ~from_ ~until_] is the latencies (ns) of requests
     completed within the window, measured from the {e intended} arrival
     — the coordinated-omission-aware number a load generator must
-    report. *)
+    report. In completion order; the window's array is allocated at its
+    exact size. *)
 
 val service_latencies_in : t -> from_:int -> until_:int -> int array
 (** [service_latencies_in t ~from_ ~until_] is the send-to-reply
     latencies (ns) of requests completed within the window — the old,
-    omission-biased measure, kept for comparison against it. *)
+    omission-biased measure, kept for comparison against it. In
+    completion order. *)
 
 val completed_in : t -> from_:int -> until_:int -> int
 (** [completed_in t ~from_ ~until_] counts requests completed within the

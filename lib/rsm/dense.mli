@@ -1,9 +1,10 @@
 (** Sparse-tolerant array indexed by small non-negative ints.
 
-    A growable value array plus a presence bitmap: one word and one bit
-    per index up to the largest one set, and no allocation per entry.
-    The storage behind {!Op_log} (indexed by instance) and
-    {!Session_table} (indexed by [req_id]), whose keys are dense. *)
+    A {!Chunked} value array plus a chunked presence bitmap: one word
+    and one bit per index in each chunk that holds a value, and no
+    allocation per entry. The storage behind {!Op_log} (indexed by
+    instance) and {!Session_table} (indexed by [req_id]), whose keys
+    are dense. *)
 
 type 'v t
 

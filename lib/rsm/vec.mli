@@ -3,7 +3,9 @@
     Append-only storage for per-run histories that are indexed densely
     from 0 — a client's issued commands by [req_id], its acknowledged
     [req_id]s — so a run keeps one array slot per entry instead of a
-    list cell or hashtable bucket. An [int t] is a flat int vector. *)
+    list cell or hashtable bucket. An [int t] is a flat int vector.
+    Its {!Chunked} storage grows a chunk at a time: no copy and no
+    doubling slack. *)
 
 type 'a t
 

@@ -151,6 +151,9 @@ type node_state = {
   mutable alloc_bytes : float;
       (* bytes this node's domain allocated over its lifetime, written
          by the domain itself just before it exits *)
+  mutable idle_sleeps : int;
+  mutable idle_sleep_ns : int; (* wall time those sleeps took *)
+  mutable timer_slack_ns : int; (* the slack the loop ran with *)
 }
 
 
@@ -285,6 +288,12 @@ let env_for st ~t0 ~seed =
 let spin_budget = 200
 let idle_sleep_s = 50e-6
 
+(* Linux lets a sleep overrun by the thread's timer slack, 50 µs by
+   default, so the 50 µs idle sleep used to last about 105 µs, and a
+   closed-loop op pays one such wake-up per hop it waits on. A node loop
+   runs with 1 µs of slack and gives the thread its old value back. *)
+let loop_timer_slack_ns = 1_000
+
 let rec nem_transitions ctl now =
   match ctl.transitions with
   | (t, tr) :: rest when t <= now ->
@@ -314,28 +323,30 @@ let rec run_selfq st acc =
    only heap traffic is the decoded inbound messages and the selfq
    cells. (The previous incarnation built closures and refs on every
    iteration; at spin rates that WAS the live runtime's allocation
-   profile.) [ctl], when given, is polled every 256 iterations — the
-   socket transport's out-of-band phase control. *)
-let event_loop ?ctl st ~t0 ~stop ~m_work =
+   profile.) One clock read per iteration serves the nemesis, the
+   timers, the phase control [ctl] and the idle-sleep accounting: the
+   read after a sleep closes it. *)
+let run_loop ctl st ~t0 ~stop ~m_work =
   let idle = ref 0 in
-  let tick = ref 0 in
+  let slept_at = ref (-1) in
   while not (Atomic.get stop) do
-    (match ctl with
-    | Some f ->
-      incr tick;
-      if !tick land 255 = 0 then f ()
-    | None -> ());
+    let now = Clock.now_ns () - t0 in
+    if !slept_at >= 0 then begin
+      st.idle_sleeps <- st.idle_sleeps + 1;
+      st.idle_sleep_ns <- st.idle_sleep_ns + (now - !slept_at);
+      slept_at := -1
+    end;
+    ctl now;
     (* Nemesis transitions due at this instant, applied by the owning
        domain itself — crash/restart never race the handler. *)
-    (match st.nem with
-    | None -> ()
-    | Some ctl -> nem_transitions ctl (Clock.now_ns () - t0));
+    (match st.nem with None -> () | Some c -> nem_transitions c now);
     match st.nem with
     | Some { mode = Down | Paused; _ } ->
       (* Dead or stopped: touch nothing — inbound queues fill up and the
          senders' capped outboxes absorb (then shed) the backlog, which
          is exactly what a peer of a dead process sees. Sleep instead of
          spinning; the only thing to watch for is the next transition. *)
+      slept_at := now;
       Unix.sleepf idle_sleep_s
     | _ ->
       (* 1. Retry parked sends; 2. collapsed-role self deliveries;
@@ -343,9 +354,7 @@ let event_loop ?ctl st ~t0 ~stop ~m_work =
       let work = Transport.flush st.tr in
       let work = work + run_selfq st 0 in
       let work = work + Transport.drain st.tr st.handler in
-      let work =
-        work + Timer_wheel.run_due st.timers ~now:(Clock.now_ns () - t0)
-      in
+      let work = work + Timer_wheel.run_due st.timers ~now in
       if work > 0 then begin
         idle := 0;
         Metrics.add m_work work
@@ -353,9 +362,22 @@ let event_loop ?ctl st ~t0 ~stop ~m_work =
       else begin
         incr idle;
         if !idle <= spin_budget then Domain.cpu_relax ()
-        else Unix.sleepf idle_sleep_s
+        else begin
+          slept_at := now;
+          Unix.sleepf idle_sleep_s
+        end
       end
   done
+
+(* [ctl now], when given, runs on every iteration with its clock read:
+   the out-of-band phase control of the node that drives the run's
+   phases. Restoring the thread's slack reads back the one the loop ran
+   with. *)
+let event_loop ?(ctl = ignore) st ~t0 ~stop ~m_work =
+  let slack = Clock.set_timer_slack_ns loop_timer_slack_ns in
+  Fun.protect
+    ~finally:(fun () -> st.timer_slack_ns <- Clock.set_timer_slack_ns slack)
+    (fun () -> run_loop ctl st ~t0 ~stop ~m_work)
 
 (* Sender-side link rules of node [src], indexed by destination; [None]
    when the schedule has none from [src], so the fault-free send path
@@ -387,6 +409,9 @@ let node_state spec ~n ~id ~tr =
     n_fault_dropped = 0;
     n_fault_duplicated = 0;
     alloc_bytes = 0.;
+    idle_sleeps = 0;
+    idle_sleep_ns = 0;
+    timer_slack_ns = 0;
   }
 
 (* Node [i]'s crash/pause timeline. The closures run inside the node's
@@ -464,6 +489,9 @@ type node_report = {
   alloc_bytes : float;
   fault_dropped : int;
   fault_duplicated : int;
+  idle_sleeps : int;
+  idle_sleep_ns : int;
+  timer_slack_ns : int;
 }
 
 let node_report st dep ~events =
@@ -478,6 +506,9 @@ let node_report st dep ~events =
     alloc_bytes = st.alloc_bytes;
     fault_dropped = st.n_fault_dropped;
     fault_duplicated = st.n_fault_duplicated;
+    idle_sleeps = st.idle_sleeps;
+    idle_sleep_ns = st.idle_sleep_ns;
+    timer_slack_ns = st.timer_slack_ns;
   }
 
 (* The result of either transport, from its nodes' reports.
@@ -543,6 +574,12 @@ let finish spec ~t_quiesce ~links:(q_count, q_msgs, q_occupancy_peak) ?jumbo
   Metrics.set_int metrics "live.queue.occupancy_peak" queues.q_occupancy_peak;
   Metrics.set_int metrics "live.queue.outbox_peak" queues.q_outbox_peak;
   Metrics.set_int metrics "live.queue.outbox_dropped" queues.q_outbox_dropped;
+  let sleeps = sum (fun r -> r.idle_sleeps) in
+  Metrics.set_int metrics "live.idle.sleeps" sleeps;
+  Metrics.set_float metrics "live.idle.sleep_us_mean"
+    (if sleeps > 0 then float_of_int (sum (fun r -> r.idle_sleep_ns)) /. float_of_int sleeps /. 1e3
+     else 0.);
+  Metrics.set_int metrics "live.idle.timer_slack_ns" (peak (fun r -> r.timer_slack_ns));
   let wall_s = float_of_int t_quiesce /. 1e9 in
   {
     spec;
@@ -587,25 +624,41 @@ let run_inproc spec =
   let quiesce = Atomic.make false in
   let d = deploy spec ~state:(Array.get states) ~t0 ~quiesce in
   let work = Array.init n (fun _ -> Metrics.counter (Metrics.create ()) "live.events") in
-  (* One gang of pool workers, one node loop each: the loops wait on
-     each other's messages, so each needs a worker of its own. *)
-  let loops =
-    Pool.gang
-      (Array.init n (fun i () ->
-           let a0 = Gc.allocated_bytes () in
-           Deployment.start ~node:i d;
-           event_loop states.(i) ~t0 ~stop ~m_work:work.(i);
-           (* [Gc.allocated_bytes] is domain-local; the delta is what
-              this node's whole lifetime allocated, written before the
-              gang completes so the main domain can read it afterwards. *)
-           states.(i).alloc_bytes <- Gc.allocated_bytes () -. a0))
+  let node ?ctl i () =
+    let a0 = Gc.allocated_bytes () in
+    Deployment.start ~node:i d;
+    event_loop ?ctl states.(i) ~t0 ~stop ~m_work:work.(i);
+    (* [Gc.allocated_bytes] is domain-local; the delta is what this
+       node's whole lifetime allocated, written before the gang
+       completes so the main domain can read it afterwards. *)
+    states.(i).alloc_bytes <- Gc.allocated_bytes () -. a0
   in
-  Unix.sleepf spec.duration_s;
-  let t_quiesce = Clock.now_ns () - t0 in
-  Atomic.set quiesce true;
-  Unix.sleepf spec.drain_s;
-  Atomic.set stop true;
-  Pool.await loops;
+  (* The caller runs the last node, a client, and its loop drives the
+     phases: quiesce [duration_s] after it starts, stop [drain_s]
+     later. *)
+  let drain_ns = int_of_float (spec.drain_s *. 1e9) in
+  let t_quiesce = ref 0 in
+  let host () =
+    let quiesce_at = Clock.now_ns () - t0 + duration_ns spec in
+    let ctl now =
+      if not (Atomic.get quiesce) then begin
+        if now >= quiesce_at then begin
+          t_quiesce := now;
+          Atomic.set quiesce true
+        end
+      end
+      else if now >= !t_quiesce + drain_ns then Atomic.set stop true
+    in
+    node ~ctl (n - 1) ()
+  in
+  (* The other nodes run as one gang of pool workers, a loop each: the
+     loops wait on each other's messages, so each needs a domain of its
+     own. *)
+  Pool.run_gang
+    (Array.init (n - 1) (fun i -> node i))
+    ~caller:host
+    ~abort:(fun () -> Atomic.set stop true);
+  let t_quiesce = !t_quiesce in
   (* Everything below reads domain-owned state after the gang completed. *)
   let nodes =
     Array.of_list
@@ -637,21 +690,27 @@ let socket_child spec ~n ~id ~t0 ~fds ~ctl_fd =
   let quiesce = Atomic.make false in
   let ctl_buf = Bytes.create 1 in
   let ctl_fds = [ ctl_fd ] in
-  (* A zero-timeout select first: the idle poll reads nothing and raises
-     nothing, and a ready fd's read cannot block. *)
-  let ctl () =
-    match Unix.select ctl_fds [] [] 0. with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.read ctl_fd ctl_buf 0 1 with
-      | 0 -> Atomic.set stop true (* parent died: shut down *)
+  (* A zero-timeout select at most once per idle sleep: the idle poll
+     reads nothing and raises nothing, and a ready fd's read cannot
+     block. *)
+  let poll_every = int_of_float (idle_sleep_s *. 1e9) in
+  let next_poll = ref 0 in
+  let ctl now =
+    if now >= !next_poll then begin
+      next_poll := now + poll_every;
+      match Unix.select ctl_fds [] [] 0. with
+      | [], _, _ -> ()
       | _ -> (
-        match Bytes.get ctl_buf 0 with
-        | 'q' -> Atomic.set quiesce true
-        | 's' -> Atomic.set stop true
-        | _ -> ())
-      | exception Unix.Unix_error (EINTR, _, _) -> ())
-    | exception Unix.Unix_error (EINTR, _, _) -> ()
+        match Unix.read ctl_fd ctl_buf 0 1 with
+        | 0 -> Atomic.set stop true (* parent died: shut down *)
+        | _ -> (
+          match Bytes.get ctl_buf 0 with
+          | 'q' -> Atomic.set quiesce true
+          | 's' -> Atomic.set stop true
+          | _ -> ())
+        | exception Unix.Unix_error (EINTR, _, _) -> ())
+      | exception Unix.Unix_error (EINTR, _, _) -> ()
+    end
   in
   let d = deploy ~node:id spec ~state:(fun _ -> st) ~t0 ~quiesce in
   let m_work = Metrics.counter (Metrics.create ()) "live.events" in

@@ -177,7 +177,12 @@ type result = {
           the groups' decided logs; [Some] exactly when [groups > 1]. *)
   metrics : Ci_obs.Metrics.t;
       (** [live.*] counters (filled by the domains via atomic counters)
-          plus post-run scalars. *)
+          plus post-run scalars. [live.idle.sleeps] counts the event
+          loops' idle sleeps, [live.idle.sleep_us_mean] is the wall time
+          one took on average (each asks for 50 µs), and
+          [live.idle.timer_slack_ns] is the largest per-thread timer
+          slack a loop ran with (1000 on Linux, 0 where the kernel has
+          no such setting). *)
   failover : Ci_obs.Failover.t option;
       (** Failover analysis around the nemesis schedule's first fault
           onset ([Some] exactly when the schedule is non-empty and its
@@ -193,8 +198,12 @@ val validate : spec -> unit
 val run : spec -> result
 (** [run spec] executes one live run and waits for every node's loop
     (or reaps every forked process) before returning. On the rings the
-    loops run on {!Ci_workload.Pool} workers, which stay parked for the
-    next run for {!Ci_workload.Pool.grace_s}. On hosts with fewer cores
+    calling domain runs the last client node, whose loop also ends the
+    measured phase and the drain; the other loops run on
+    {!Ci_workload.Pool} workers, which stay parked for the next run for
+    {!Ci_workload.Pool.grace_s}. A loop sets its thread's timer slack
+    to 1 µs, so its 50 µs idle sleeps are not stretched to 100 µs, and
+    restores the old value when it stops. On hosts with fewer cores
     than nodes the event loops fall back from spinning to sleeping so
     oversubscribed runs still make progress. On the socket transport
     the usual [Unix.Unix_error] exceptions escape if the host cannot

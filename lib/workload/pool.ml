@@ -189,6 +189,16 @@ let await g =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
+let run_gang thunks ~caller ~abort =
+  let g = gang thunks in
+  match caller () with
+  | () -> await g
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    abort ();
+    (try await g with _ -> ());
+    Printexc.raise_with_backtrace e bt
+
 let default_jobs () =
   match Sys.getenv_opt "CI_JOBS" with
   | Some s ->
@@ -231,9 +241,7 @@ let parallel_map ?(chunk = 1) ~jobs f xs =
         end
       done
     in
-    let helpers = gang (Array.make (min jobs n - 1) worker) in
-    worker ();
-    await helpers;
+    run_gang (Array.make (min jobs n - 1) worker) ~caller:worker ~abort:ignore;
     (match Atomic.get failure with
      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
      | None -> ());

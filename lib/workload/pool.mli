@@ -63,6 +63,16 @@ val await : gang -> unit
     completion time) is re-raised with its backtrace, after all of them
     finished; the workers stay usable. *)
 
+val run_gang :
+  (unit -> unit) array -> caller:(unit -> unit) -> abort:(unit -> unit) -> unit
+(** [run_gang thunks ~caller ~abort] starts [thunks] as one {!gang},
+    runs [caller ()] on the calling domain alongside them, then awaits
+    the gang — one worker fewer than a gang of every thunk. If [caller]
+    raises, [abort ()] runs (it must make the thunks finish), the gang
+    is awaited, and [caller]'s exception is re-raised with its
+    backtrace; an exception of the gang is then dropped. Otherwise a
+    thunk's exception is re-raised as by {!await}. *)
+
 val grace_s : float
 (** Seconds an idle worker stays parked before it retires. *)
 

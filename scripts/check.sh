@@ -99,8 +99,8 @@ echo "== perfbench smoke (every workload, traced and untraced, ~15s) =="
 python3 perfbench/run.py --smoke
 
 echo "== figures byte-identity across --jobs (1 vs 3) =="
-tmp1=$(mktemp) && tmp3=$(mktemp)
-trap 'rm -f "$tmp1" "$tmp3"' EXIT
+tmp1=$(mktemp) && tmp3=$(mktemp) && tmpm=$(mktemp)
+trap 'rm -f "$tmp1" "$tmp3" "$tmpm"' EXIT
 dune exec bin/consensus_sim.exe -- figures latency --jobs 1 > "$tmp1"
 dune exec bin/consensus_sim.exe -- figures latency --jobs 3 > "$tmp3"
 cmp "$tmp1" "$tmp3"
@@ -109,8 +109,17 @@ echo "== live runtime smoke (3 replicas, both protocols; exits 1 on violation) =
 # Short real-domain runs: ~0.6s measured + drain per protocol, well
 # under the 2s budget. `live` exits non-zero if the post-run
 # consistency check over the joined replica views finds a violation.
+# The 1Paxos run's metrics must carry the event loops' idle-sleep
+# accounting (count and mean wall time of the 50 us sleeps).
 dune exec bin/consensus_sim.exe -- live --protocol onepaxos \
-  --replicas 3 --clients 2 --duration-s 0.5 --drain-s 0.1
+  --replicas 3 --clients 2 --duration-s 0.5 --drain-s 0.1 --metrics-out "$tmpm"
+python3 - "$tmpm" <<'EOF'
+import json, sys
+m = json.load(open(sys.argv[1]))
+for k in ("live.idle.sleeps", "live.idle.sleep_us_mean"):
+    assert k in m, f"metrics lack {k}"
+    print(f"  {k} = {m[k]}")
+EOF
 dune exec bin/consensus_sim.exe -- live --protocol multipaxos \
   --replicas 3 --clients 2 --duration-s 0.5 --drain-s 0.1
 

@@ -188,6 +188,31 @@ let test_idle_workers_retire () =
   Alcotest.(check int) "no worker after the grace period" 0
     (wait_for_retirement ())
 
+(* [run_gang] with a caller that raises — as a live run whose
+   caller-hosted client node's handler raises: the abort hook stops the
+   thunks, the gang is awaited before the caller's exception surfaces,
+   and the workers still retire afterwards. *)
+let test_run_gang_caller_raises () =
+  let stop = Atomic.make false in
+  let finished = Atomic.make 0 in
+  let thunk () =
+    while not (Atomic.get stop) do
+      Unix.sleepf 0.0005
+    done;
+    Atomic.incr finished
+  in
+  (match
+     Pool.run_gang (Array.make 3 thunk)
+       ~caller:(fun () ->
+         Unix.sleepf 0.01;
+         raise (Thunk 99))
+       ~abort:(fun () -> Atomic.set stop true)
+   with
+  | () -> Alcotest.fail "the caller's exception was swallowed"
+  | exception Thunk 99 -> ());
+  Alcotest.(check int) "every thunk stopped before the re-raise" 3 (Atomic.get finished);
+  Alcotest.(check int) "no worker after the grace period" 0 (wait_for_retirement ())
+
 (* ----- allocation regression guard ---------------------------------------- *)
 
 (* This reference run (1Paxos, 3 replicas, 13 clients, 50 ms) sat at
@@ -241,4 +266,6 @@ let suite =
         `Quick test_gang_failure_after_all;
       Alcotest.test_case "idle workers retire after the grace period" `Quick
         test_idle_workers_retire;
+      Alcotest.test_case "run_gang: a raising caller stops and awaits the gang"
+        `Quick test_run_gang_caller_raises;
     ] )
